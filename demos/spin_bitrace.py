@@ -2,12 +2,13 @@
 """The spin bitrace three ways, and what it degenerates to at q = 1.
 
 For odd class types the bitrace is computed by the alpha-driven peeling
-recursion, by summing spin weights of contingency matrices, and by pairing
-character values; at q = 1 it collapses to the diagonal orthogonality
-values, and against the all-ones class it yields the regular character.
+recursion, by pairing the products of deformed generators in the ring of
+odd power sums, and by pairing character values; at q = 1 it collapses to
+the diagonal orthogonality values, and against the all-ones class it yields
+the regular character.
 """
 
-from hcchar.bitrace import orthogonality_lhs, regular_char, sbtr, sbtr_matrix
+from hcchar.bitrace import orthogonality_lhs, regular_char, sbtr, sbtr_powersum
 from hcchar.partitions import format_parts, nonzero_length, odd_partitions_of, z_lambda
 
 N = 5
@@ -20,7 +21,7 @@ def main() -> None:
     for mu in classes:
         for nu in classes:
             a = sbtr(mu, nu)
-            b = sbtr_matrix(mu, nu)
+            b = sbtr_powersum(mu, nu)
             c = orthogonality_lhs(mu, nu)
             assert a == b == c
             print(f"sbtr({format_parts(mu)} ; {format_parts(nu)}) = {a.to_text()}")

@@ -13,7 +13,7 @@ from .bitrace import (
     orthogonality_lhs,
     regular_char,
     sbtr,
-    sbtr_matrix,
+    sbtr_powersum,
 )
 from .characters import (
     BadShapeError,

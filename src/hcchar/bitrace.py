@@ -3,8 +3,8 @@
 The central quantity is the pairing T(mu, nu) of products of deformed
 one-row generators; the bitrace divides it by (q-1)^{l(mu)+l(nu)}.  It is
 computed three ways: a peeling recursion driven by the alpha polynomials,
-a sum over contingency matrices, and (in the characters module) the sum of
-products of character values.
+the inner product of the two generator products in the power-sum ring, and
+(in the characters module) the sum of products of character values.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
     bounded_compositions,
@@ -113,31 +114,14 @@ def sbtr(mu: Parts, nu: Parts) -> QPoly:
     return exact_div_qminus1_pow(value, nonzero_length(mu) + nonzero_length(nu))
 
 
-def _contingency_matrices(rows: Parts, cols: Parts):
-    if not rows:
-        if all(c == 0 for c in cols):
-            yield ()
-        return
-    for head in bounded_compositions(rows[0], cols):
-        remaining = tuple(c - h for c, h in zip(cols, head))
-        for rest in _contingency_matrices(rows[1:], remaining):
-            yield (head,) + rest
-
-
-def sbtr_matrix(mu: Parts, nu: Parts) -> QPoly:
-    """Spin bitrace as a sum over nonnegative integer matrices with row sums
-    mu and column sums nu, each weighted by the product of alphas over its
-    entries."""
+def sbtr_powersum(mu: Parts, nu: Parts) -> QPoly:
+    """Spin bitrace through the power-sum ring: the inner product of the two
+    products of deformed generators, divided by (q-1)^{l(mu)+l(nu)}."""
     mu, nu = sort_desc(mu), sort_desc(nu)
     if weight(mu) != weight(nu):
         raise WeightMismatchError(f"|{mu}| != |{nu}|")
-    total = ZERO
-    for matrix in _contingency_matrices(mu, nu):
-        term = ONE
-        for row in matrix:
-            term = term * alpha_product(row)
-        total = total + term
-    return exact_div_qminus1_pow(total, nonzero_length(mu) + nonzero_length(nu))
+    value = inner_product(g_product(mu), g_product(nu))
+    return exact_div_qminus1_pow(value, nonzero_length(mu) + nonzero_length(nu))
 
 
 def orthogonality_lhs(mu: Parts, nu: Parts, method: str = "auto") -> QPoly:

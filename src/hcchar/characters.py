@@ -205,13 +205,16 @@ def _g_pieri(lam: Parts, mu: Parts) -> QPoly:
         if not strips:
             continue
         sign = (-1) ** (i - lam[0])
+        # every tau leaving the same rest shares one inner strip sum
+        f_by_rest: dict[Parts, QPoly] = {}
         for tau in bounded_compositions(i, mu):
-            ftau = f_coeff(tau)
             rest = sort_desc(m - t for m, t in zip(mu, tau))
+            f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_coeff(tau)
+        for rest, f_sum in f_by_rest.items():
             inner = ZERO
             for xi, a in strips:
                 inner = inner + _g_pieri(xi, rest).scale(2**a)
-            out = out + (ftau * inner).scale(sign)
+            out = out + (f_sum * inner).scale(sign)
     return out
 
 
@@ -237,16 +240,9 @@ def char_one_row(mu: Parts) -> QPoly:
     return out
 
 
-def char_two_row(k: int, mu: Parts) -> QPoly:
-    """lam = (k, n-k) with n-k < k < n, via the generating function whose
-    v-coefficients collect the split products of f over both arguments."""
-    mu = sort_desc(mu)
-    if mu and not is_odd_partition(mu):
-        raise ValueError(f"two-row closed form needs odd mu, got {mu}")
-    n = weight(mu)
-    if not (0 < n - k < k):
-        raise BadShapeError(f"(k, n-k) = ({k},{n - k}) is not a two-row strict shape")
-    # C(v) as a list of q-polynomials indexed by the power of v
+@cache
+def _two_row_series(mu: Parts) -> tuple[QPoly, ...]:
+    """(2q-2)^{l(mu)} C(v), as q-polynomials indexed by the power of v."""
     series: list[QPoly] = [ONE]
     for part in mu:
         factor: list[QPoly] = [ZERO] * (part + 1)
@@ -267,10 +263,21 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
                     new[i + j] = new[i + j] + a * b
         series = new
     lead = (QPoly((-2, 2))) ** nonzero_length(mu)
-    series = [lead * c for c in series]
+    return tuple(lead * c for c in series)
+
+
+def char_two_row(k: int, mu: Parts) -> QPoly:
+    """lam = (k, n-k) with n-k < k < n, via the generating function whose
+    v-coefficients collect the split products of f over both arguments."""
+    mu = sort_desc(mu)
+    if mu and not is_odd_partition(mu):
+        raise ValueError(f"two-row closed form needs odd mu, got {mu}")
+    n = weight(mu)
+    if not (0 < n - k < k):
+        raise BadShapeError(f"(k, n-k) = ({k},{n - k}) is not a two-row strict shape")
     tail_k = ZERO
     tail_k1 = ZERO
-    for i, c in enumerate(series):
+    for i, c in enumerate(_two_row_series(mu)):
         signed = c.scale((-1) ** i)
         if i >= k:
             tail_k = tail_k + signed

@@ -4,7 +4,7 @@ its measured scope.  All comparisons are exact polynomial equalities."""
 import random
 import time
 
-from hcchar.bitrace import alpha, alpha_direct_sum, regular_char, sbtr, sbtr_matrix
+from hcchar.bitrace import alpha, alpha_direct_sum, regular_char, sbtr, sbtr_powersum
 from hcchar.characters import (
     METHODS,
     char_column,
@@ -114,17 +114,17 @@ def test_criterion_3_five_way_agreement():
 
 
 def test_criterion_4_orthogonality():
-    for n in range(1, 8):
+    for n in range(1, 9):
         ops = odd_partitions_of(n)
         for mu in ops:
             for nu in ops:
                 lhs = orthogonality_sum(mu, nu)
                 mid = sbtr(mu, nu)
-                rhs = sbtr_matrix(mu, nu)
+                rhs = sbtr_powersum(mu, nu)
                 assert lhs == mid == rhs, (mu, nu)
                 expected = 2 ** nonzero_length(mu) * z_lambda(mu) if mu == nu else 0
                 assert lhs.eval_at(1) == expected, (mu, nu)
-    print("criterion 4 PASS: bitrace three ways + q=1 orthogonality, n<=7")
+    print("criterion 4 PASS: bitrace three ways + q=1 orthogonality, n<=8")
 
 
 def test_criterion_5_symmetry_and_degree():

@@ -9,10 +9,10 @@ from hcchar.bitrace import (
     alpha_direct_sum,
     regular_char,
     sbtr,
-    sbtr_matrix,
+    sbtr_powersum,
 )
 from hcchar.characters import orthogonality_sum
-from hcchar.partitions import nonzero_length, odd_partitions_of, z_lambda
+from hcchar.partitions import nonzero_length, odd_partitions_of, partitions_of, z_lambda
 from hcchar.qpoly import ONE, QPoly, ZERO
 
 
@@ -50,13 +50,13 @@ def test_sbtr_examples():
     assert sbtr((5, 1), (3, 3)) == sbtr((3, 3), (5, 1))
 
 
-def test_sbtr_matrix_examples():
+def test_sbtr_powersum_examples():
     for n in range(1, 6):
-        assert sbtr_matrix((n,), (n,)) == sbtr((n,), (n,))
-    assert sbtr_matrix((1, 1), (2,)) == QPoly((-4, 4))
+        assert sbtr_powersum((n,), (n,)) == sbtr((n,), (n,))
+    assert sbtr_powersum((1, 1), (2,)) == QPoly((-4, 4))
     for n in range(1, 6):
         ones = (1,) * n
-        assert sbtr_matrix(ones, ones) == QPoly((factorial(n) * 2**n,))
+        assert sbtr_powersum(ones, ones) == QPoly((factorial(n) * 2**n,))
 
 
 def test_three_way_equality_small():
@@ -65,8 +65,16 @@ def test_three_way_equality_small():
         for mu in ops:
             for nu in ops:
                 a = sbtr(mu, nu)
-                assert a == sbtr_matrix(mu, nu), (mu, nu)
+                assert a == sbtr_powersum(mu, nu), (mu, nu)
                 assert a == orthogonality_sum(mu, nu), (mu, nu)
+
+
+def test_sbtr_powersum_matches_peeling_on_all_partitions():
+    for n in range(7):
+        ps = partitions_of(n)
+        for mu in ps:
+            for nu in ps:
+                assert sbtr_powersum(mu, nu) == sbtr(mu, nu), (mu, nu)
 
 
 def test_q_equals_one_orthogonality():

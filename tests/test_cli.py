@@ -148,11 +148,11 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 3 and "synthetic fault" in err
 
 
-def test_sbtr_matrix_weight_mismatch():
-    from hcchar.bitrace import WeightMismatchError, sbtr_matrix
+def test_sbtr_powersum_weight_mismatch():
+    from hcchar.bitrace import WeightMismatchError, sbtr_powersum
 
     with pytest.raises(WeightMismatchError):
-        sbtr_matrix((3,), (1, 1))
+        sbtr_powersum((3,), (1, 1))
 
 
 def test_cache_disabled_without_env(tmp_path, capsys, monkeypatch):
