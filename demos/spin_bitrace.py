@@ -8,7 +8,8 @@ the diagonal orthogonality values, and against the all-ones class it yields
 the regular character.
 """
 
-from hcchar.bitrace import orthogonality_lhs, regular_char, sbtr, sbtr_powersum
+from hcchar.bitrace import regular_char, sbtr, sbtr_powersum
+from hcchar.characters import orthogonality_sum
 from hcchar.partitions import format_parts, nonzero_length, odd_partitions_of, z_lambda
 
 N = 5
@@ -22,7 +23,7 @@ def main() -> None:
         for nu in classes:
             a = sbtr(mu, nu)
             b = sbtr_powersum(mu, nu)
-            c = orthogonality_lhs(mu, nu)
+            c = orthogonality_sum(mu, nu)
             assert a == b == c
             print(f"sbtr({format_parts(mu)} ; {format_parts(nu)}) = {a.to_text()}")
     print()

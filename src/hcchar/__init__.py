@@ -10,7 +10,6 @@ from .bitrace import (
     WeightMismatchError,
     alpha,
     alpha_direct_sum,
-    orthogonality_lhs,
     regular_char,
     sbtr,
     sbtr_powersum,

@@ -24,7 +24,7 @@ from .partitions import (
     weight,
     z_lambda,
 )
-from .qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow
+from .qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow, q_pow_minus_one
 
 
 class WeightMismatchError(ValueError):
@@ -74,7 +74,7 @@ def alpha_direct_sum(n: int) -> QPoly:
     for rho in odd_partitions_of(n):
         term = ONE
         for part in rho:
-            term = term * QPoly((-1,) + (0,) * (part - 1) + (1,)) ** 2
+            term = term * q_pow_minus_one(part) ** 2
         out = out + term.scale(Fraction(2 ** len(rho), z_lambda(rho)))
     assert out.has_integer_coeffs(), f"alpha_{n} direct sum not integral"
     return out
@@ -124,19 +124,11 @@ def sbtr_powersum(mu: Parts, nu: Parts) -> QPoly:
     return exact_div_qminus1_pow(value, nonzero_length(mu) + nonzero_length(nu))
 
 
-def orthogonality_lhs(mu: Parts, nu: Parts, method: str = "auto") -> QPoly:
-    """Character-side form of the bitrace; delegates to the characters
-    module, which owns the table machinery."""
-    from .characters import orthogonality_sum
-
-    return orthogonality_sum(mu, nu, method=method)
-
-
 def regular_char(mu: Parts) -> QPoly:
     """Trace of the regular representation on the class of mu:
     2^n (q-1)^{n-l(mu)} n! / prod_i mu_i!."""
     mu = sort_desc(mu)
-    if mu and not is_odd_partition(mu):
+    if not is_odd_partition(mu):
         raise ValueError(f"regular character needs odd mu, got {mu}")
     n = weight(mu)
     count = factorial(n)

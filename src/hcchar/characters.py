@@ -160,37 +160,28 @@ def char_recursive(lam: Parts, mu: Parts, order: str = "desc") -> QPoly:
 
 
 @cache
-def _g_pfaffian(lam: Parts, mu: Parts) -> QPoly:
+def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
+    # peel mu[0] through one lowering-step table, expansion(lam, k) -> (nu, value)
     if not lam:
         return ONE
     out = ZERO
-    for nu, value in pfaffian_expansion(lam, mu[0]):
-        out = out + value * _g_pfaffian(nu, mu[1:])
+    for nu, value in expansion(lam, mu[0]):
+        out = out + value * _g_peel(expansion, nu, mu[1:])
     return out
 
 
 def char_pfaffian(lam: Parts, mu: Parts) -> QPoly:
     """Peel parts of mu through the Pfaffian form of the lowering step."""
     lam, mu = _validate(lam, mu)
-    return _finalize(_g_pfaffian(lam, mu), lam, mu)
-
-
-@cache
-def _g_combinatorial(lam: Parts, mu: Parts) -> QPoly:
-    if not lam:
-        return ONE
-    out = ZERO
-    for nu, value in gds_expansion(lam, mu[0]):
-        out = out + value * _g_combinatorial(nu, mu[1:])
-    return out
+    return _finalize(_g_peel(pfaffian_expansion, lam, mu), lam, mu)
 
 
 def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
     """Murnaghan-Nakayama-style recursion over generalized double strips."""
     lam, mu = _validate(lam, mu)
-    if not is_odd_partition(mu) and mu:
+    if not is_odd_partition(mu):
         raise ValueError(f"combinatorial rule needs odd mu, got {mu}")
-    return _finalize(_g_combinatorial(lam, mu), lam, mu)
+    return _finalize(_g_peel(gds_expansion, lam, mu), lam, mu)
 
 
 @cache
@@ -201,7 +192,7 @@ def _g_pieri(lam: Parts, mu: Parts) -> QPoly:
     body = lam[1:]
     out = ZERO
     for i in range(lam[0], n + 1):
-        strips = pieri_strips(body, i - lam[0], mode="sub")
+        strips = pieri_strips(body, i - lam[0])
         if not strips:
             continue
         sign = (-1) ** (i - lam[0])
@@ -221,7 +212,7 @@ def _g_pieri(lam: Parts, mu: Parts) -> QPoly:
 def char_pieri(lam: Parts, mu: Parts) -> QPoly:
     """Recursion on the indexing partition through the Pieri rule."""
     lam, mu = _validate(lam, mu)
-    if not is_odd_partition(mu) and mu:
+    if not is_odd_partition(mu):
         raise ValueError(f"pieri rule needs odd mu, got {mu}")
     return _finalize(_g_pieri(lam, mu), lam, mu)
 
@@ -232,7 +223,7 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
 def char_one_row(mu: Parts) -> QPoly:
     """lam = (n): 2^{l(mu)} (mu)_q."""
     mu = sort_desc(mu)
-    if mu and not is_odd_partition(mu):
+    if not is_odd_partition(mu):
         raise ValueError(f"one-row closed form needs odd mu, got {mu}")
     out = QPoly((2 ** nonzero_length(mu),))
     for part in mu:
@@ -270,7 +261,7 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
     """lam = (k, n-k) with n-k < k < n, via the generating function whose
     v-coefficients collect the split products of f over both arguments."""
     mu = sort_desc(mu)
-    if mu and not is_odd_partition(mu):
+    if not is_odd_partition(mu):
         raise ValueError(f"two-row closed form needs odd mu, got {mu}")
     n = weight(mu)
     if not (0 < n - k < k):
@@ -326,8 +317,7 @@ def char_value(lam: Parts, mu: Parts, method: str = "auto") -> QPoly:
     """Compute one character value with the chosen method (auto picks the
     strip-weight recursion for odd mu, the Q-basis recursion otherwise)."""
     if method == "auto":
-        mu_sorted = sort_desc(mu)
-        if is_odd_partition(mu_sorted) or not mu_sorted:
+        if is_odd_partition(sort_desc(mu)):
             return char_combinatorial(lam, mu)
         return char_recursive(lam, mu)
     if method not in METHODS:

@@ -256,10 +256,14 @@ def run_verify(n_max: int, suite: str, out=None) -> int:
     out = out if out is not None else sys.stdout
     names = list(VERIFY_SUITES) if suite == "all" else [suite]
     all_ok = True
+    checked = 0
     for name in names:
         for description, ok in VERIFY_SUITES[name](n_max):
             print(("PASS" if ok else "FAIL") + f" [{name}] {description}", file=out)
             all_ok = all_ok and ok
+            checked += 1
+    if not checked:
+        raise ValueError(f"no verify check runs for --suite {suite} --n-max {n_max}")
     print("verify: " + ("all checks passed" if all_ok else "FAILURES detected"), file=out)
     return EXIT_OK if all_ok else EXIT_FAIL
 

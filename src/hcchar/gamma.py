@@ -20,7 +20,7 @@ from .partitions import (
     z_lambda,
     zt_denominator,
 )
-from .qpoly import ONE, QPoly, ZERO
+from .qpoly import ONE, QPoly, ZERO, q_pow_minus_one
 
 
 class GammaElement:
@@ -155,28 +155,42 @@ def apply_partial(n: int, a: GammaElement) -> GammaElement:
     return GammaElement(out)
 
 
-def apply_g_star_pbasis(k: int, a: GammaElement) -> GammaElement:
-    """Degree-k component of exp(sum over odd n of (t^n - 1) d/dp_n z^{-n})."""
+@cache
+def _exp_coefficient(weight, sigma: Parts) -> QPoly:
+    # prod_i weight(sigma_i) / prod_j m_j!, the coefficient of the iterated
+    # derivative along sigma in the exponential series
+    denom = 1
+    for m in multiplicities(sigma).values():
+        denom *= factorial(m)
+    coeff = ONE
+    for part in sigma:
+        coeff = coeff * weight(part)
+    return coeff.scale(Fraction(1, denom))
+
+
+def apply_exp_partials(k: int, a: GammaElement, weight) -> GammaElement:
+    """Degree-k component of exp(sum over odd n of weight(n) d/dp_n z^{-n})
+    applied to a.  weight maps n to a QPoly; it must be a fixed function,
+    because the coefficient of each sigma is memoized per (weight, sigma)."""
     if k == 0:
         return a
     if k < 0:
         raise ValueError("negative degree")
     out = GammaElement.zero()
     for sigma in odd_partitions_of(k):
-        denom = 1
-        for m in multiplicities(sigma).values():
-            denom *= factorial(m)
-        coeff = ONE
-        for part in sigma:
-            coeff = coeff * QPoly((-1,) + (0,) * (part - 1) + (1,))
         partial = a
         for part in sigma:
             partial = apply_partial(part, partial)
             if partial.is_zero():
                 break
         if not partial.is_zero():
-            out = out + partial.scale(coeff.scale(Fraction(1, denom)))
+            out = out + partial.scale(_exp_coefficient(weight, sigma))
     return out
+
+
+def apply_g_star_pbasis(k: int, a: GammaElement) -> GammaElement:
+    """Degree-k component of exp(sum over odd n of (t^n - 1) d/dp_n z^{-n})."""
+    return apply_exp_partials(k, a, q_pow_minus_one)
 
 
 def principal_specialize(a: GammaElement) -> QPoly:
@@ -185,6 +199,6 @@ def principal_specialize(a: GammaElement) -> QPoly:
     for rho, coeff in a.terms.items():
         factor = ONE
         for part in rho:
-            factor = factor * QPoly((-1,) + (0,) * (part - 1) + (1,))
+            factor = factor * q_pow_minus_one(part)
         out = out + coeff * factor
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .qpoly import ONE, QPoly
+from .qpoly import ONE, QPoly, q_pow_minus_one
 
 Parts = tuple[int, ...]
 
@@ -92,7 +92,7 @@ def zt_denominator(parts: Parts) -> QPoly:
     """prod_i (1 - t^{part_i}); the polynomial part of 1/z(t)."""
     out = ONE
     for p in parts:
-        out = out * QPoly((1,) + (0,) * (p - 1) + (-1,))
+        out = out * -q_pow_minus_one(p)
     return out
 
 
@@ -349,28 +349,17 @@ def a_statistic(lam: Parts, mu: Parts) -> int:
     return sum(1 for col in occupied if col + 1 not in occupied)
 
 
-def pieri_strips(kappa: Parts, r: int, mode: str = "super") -> list[tuple[Parts, int]]:
-    """Horizontal r-strip neighbours of a strict partition.
-
-    mode="super": strict lam containing kappa with lam/kappa a horizontal
-    r-strip, paired with a(lam/kappa).  mode="sub": strict xi inside kappa
-    with kappa/xi a horizontal r-strip, paired with a(kappa/xi).
-    """
-    if mode == "sub":
-        return [(xi, a_statistic(kappa, xi)) for xi in _strips_below(kappa, r)]
-    if mode == "super":
-        return [(lam, a_statistic(lam, kappa)) for lam in _strips_above(kappa, r)]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _strips_below(kappa: Parts, r: int) -> list[Parts]:
+def pieri_strips(kappa: Parts, r: int) -> list[tuple[Parts, int]]:
+    """Strict xi inside the strict partition kappa with kappa/xi a horizontal
+    r-strip, each paired with a(kappa/xi)."""
     # xi interlaces: kappa_i >= xi_i >= kappa_{i+1}, xi strict, |kappa/xi| = r
-    results: list[Parts] = []
+    results: list[tuple[Parts, int]] = []
 
     def rec(i: int, prev: int, remaining: int, acc: list[int]):
         if i == len(kappa):
             if remaining == 0:
-                results.append(tuple(p for p in acc if p))
+                xi = tuple(p for p in acc if p)
+                results.append((xi, a_statistic(kappa, xi)))
             return
         lo = kappa[i + 1] if i + 1 < len(kappa) else 0
         for v in range(min(kappa[i], prev - 1 if prev else 0), lo - 1, -1):
@@ -384,32 +373,6 @@ def _strips_below(kappa: Parts, r: int) -> list[Parts]:
     if r < 0:
         return []
     rec(0, kappa[0] + 2 if kappa else 1, r, [])
-    return results
-
-
-def _strips_above(kappa: Parts, r: int) -> list[Parts]:
-    # lam interlaces: lam_i >= kappa_i >= lam_{i+1}, lam strict, |lam/kappa| = r
-    results: list[Parts] = []
-    slots = len(kappa) + 1
-    padded = tuple(kappa) + (0,)
-
-    def rec(i: int, prev: int, remaining: int, acc: list[int]):
-        if i == slots:
-            if remaining == 0:
-                results.append(tuple(p for p in acc if p))
-            return
-        lo = padded[i]
-        hi = min(lo + remaining, prev - 1)
-        if i >= 1:
-            hi = min(hi, kappa[i - 1])
-        for v in range(hi, lo - 1, -1):
-            acc.append(v)
-            rec(i + 1, v if v else prev, remaining - (v - lo), acc)
-            acc.pop()
-
-    if r < 0:
-        return []
-    rec(0, (kappa[0] if kappa else 0) + r + 1, r, [])
     return results
 
 
@@ -430,21 +393,6 @@ def shifted_syt_count(lam: Parts) -> int:
             value *= Fraction(lam[i] - lam[j], lam[i] + lam[j])
     assert value.denominator == 1, f"non-integer tableau count for {lam}"
     return int(value)
-
-
-@cache
-def shifted_syt_count_enumerated(lam: Parts) -> int:
-    """Independent oracle: count standard fillings by peeling corner cells."""
-    if not lam:
-        return 1
-    total = 0
-    for i, p in enumerate(lam):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if p - 1 > below:
-            total += shifted_syt_count_enumerated(lam[:i] + (p - 1,) + lam[i + 1:])
-        elif p == 1 and i == len(lam) - 1:
-            total += shifted_syt_count_enumerated(lam[:i])
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -71,24 +71,6 @@ def pfaffian(a: AntisymMatrix) -> QPoly:
     return pf(tuple(range(a.size)))
 
 
-def determinant(rows: list[list[QPoly]]) -> QPoly:
-    """Cofactor-expansion determinant; the independent check for Pf^2 = det."""
-    n = len(rows)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return rows[0][0]
-    total = ZERO
-    for j in range(n):
-        top = rows[0][j]
-        if top.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = top * determinant(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def build_skew_matrix(lam: Parts, mu: Parts) -> AntisymMatrix:
     """The antisymmetric matrix whose Pfaffian is the (t,-1) specialization of
     the skew Q-function for mu inside lam.

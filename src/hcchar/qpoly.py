@@ -196,6 +196,12 @@ def exact_div_qminus1_pow(f: QPoly, m: int) -> QPoly:
 
 
 @cache
+def q_pow_minus_one(r: int) -> QPoly:
+    """q^r - 1 for r >= 0."""
+    return QPoly.monomial(1, r) - ONE
+
+
+@cache
 def round_bracket(k: int) -> QPoly:
     """(k)_t = t^{k-1} - t^{k-2} + ... + (-1)^{k-1}; (0)_t = 1, 0 for k < 0."""
     if k < 0:

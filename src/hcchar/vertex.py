@@ -4,12 +4,10 @@ Q-basis together with its f-coefficients."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import factorial
 
-from .gamma import GammaElement, apply_partial, expand_q_n
-from .partitions import Parts, compositions_of, multiplicities, odd_partitions_of
+from .gamma import GammaElement, apply_exp_partials, expand_q_n
+from .partitions import Parts, compositions_of
 from .qpoly import ONE, QPoly, ZERO, round_bracket
 
 # A Q-basis element is a finite combination of Q_nu.1 over strict nu, with
@@ -20,23 +18,9 @@ QBasisElement = dict[Parts, QPoly]
 # ---------------------------------------------------------------------------
 # creation-operator action in the power-sum basis
 
-def _annihilation_component(j: int, a: GammaElement) -> GammaElement:
-    # degree-j component of exp(-sum over odd n of d/dp_n z^{-n})
-    if j == 0:
-        return a
-    out = GammaElement.zero()
-    for sigma in odd_partitions_of(j):
-        denom = 1
-        for m in multiplicities(sigma).values():
-            denom *= factorial(m)
-        partial = a
-        for part in sigma:
-            partial = apply_partial(part, partial)
-            if partial.is_zero():
-                break
-        if not partial.is_zero():
-            out = out + partial.scale(Fraction((-1) ** len(sigma), denom))
-    return out
+def _annihilation_weight(n: int) -> QPoly:
+    # exp(-sum over odd n of d/dp_n z^{-n}): every derivative has weight -1
+    return -ONE
 
 
 def apply_Q_m(m: int, a: GammaElement) -> GammaElement:
@@ -47,7 +31,7 @@ def apply_Q_m(m: int, a: GammaElement) -> GammaElement:
     """
     out = GammaElement.zero()
     for j in range(max(0, -m), a.degree() + 1):
-        lowered = _annihilation_component(j, a)
+        lowered = apply_exp_partials(j, a, _annihilation_weight)
         if lowered.is_zero():
             continue
         out = out + expand_q_n(m + j) * lowered

@@ -5,6 +5,7 @@ import pytest
 from hcchar.characters import (
     BadShapeError,
     NotGdsError,
+    _g_peel,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -16,6 +17,7 @@ from hcchar.characters import (
     char_table,
     char_two_row,
     char_value,
+    gds_expansion,
     sbs_principal,
     wt_gds,
 )
@@ -28,6 +30,7 @@ from hcchar.partitions import (
 from hcchar.pfaffian import skew_Q_principal
 from hcchar.qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow, round_bracket
 from hcchar.vertex import f_single
+from oracles import determinant
 
 
 def test_wt_gds_examples():
@@ -46,8 +49,6 @@ def test_wt_gds_examples():
 def _sbs_determinant_form(rows):
     # near-triangular determinant with f of consecutive row sums above the
     # diagonal and ones on the subdiagonal
-    from hcchar.pfaffian import determinant
-
     s = len(rows)
     suffix = [sum(rows[i:]) for i in range(s)] + [0]
     mat = [[f_single(suffix[i] - suffix[j + 1]) for j in range(s)] for i in range(s)]
@@ -193,3 +194,17 @@ def test_degree_bound():
             for lam in strict_partitions_of(n):
                 value = char_value(lam, mu)
                 assert value.degree <= n - nonzero_length(mu), (lam, mu)
+
+
+def test_peel_memo_is_keyed_by_its_expansion():
+    # char_pfaffian and char_combinatorial share the _g_peel memo; were the
+    # expansion table missing from its key, each route would be handed the
+    # other's cached values and five-way agreement could not notice
+    lam, mu = (4, 2, 1), (3, 3, 1)
+    value = _g_peel(gds_expansion, lam, mu)
+    assert not value.is_zero()
+
+    def doubled(lam, k):
+        return tuple((nu, w.scale(2)) for nu, w in gds_expansion(lam, k))
+
+    assert _g_peel(doubled, lam, mu) == value.scale(2 ** len(mu))

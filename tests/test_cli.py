@@ -118,6 +118,14 @@ def test_verify_small(capsys):
     assert "PASS [tables]" in out and "PASS [ortho]" in out
 
 
+def test_verify_without_checks_is_a_usage_error(capsys):
+    for argv in (("--n-max", "0"), ("--n-max", "-3"), ("--suite", "tables", "--n-max", "2")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == cli.EXIT_USAGE, argv
+        assert out == "", argv
+        assert err.startswith("error: no verify check runs"), argv
+
+
 def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, cold, _ = run(capsys, "table", "--n", "4", "--format", "json")

@@ -14,12 +14,12 @@ from hcchar.pfaffian import (
     NotContainedError,
     OddSizeError,
     build_skew_matrix,
-    determinant,
     pfaffian,
     skew_Q_principal,
 )
 from hcchar.qpoly import ONE, QPoly, ZERO
 from hcchar.vertex import Q_lambda_vacuum, f_pair, f_single
+from oracles import determinant
 
 
 def random_antisym(rng, size, deg=2, span=3):
