@@ -46,7 +46,7 @@ from .qpoly import (
     exact_div_qminus1_pow,
     round_bracket,
 )
-from .vertex import Q_lambda_vacuum, f_coeff, g_star_vacuum_coeff
+from .vertex import Q_lambda_vacuum, f_coeff, qbasis_expansion
 
 
 class NotGdsError(ValueError):
@@ -147,18 +147,6 @@ def char_oracle(lam: Parts, mu: Parts) -> QPoly:
     return _finalize(g_value, lam, mu)
 
 
-def char_recursive(lam: Parts, mu: Parts, order: str = "desc") -> QPoly:
-    """Lowering recursion on the Q-basis, one part of mu at a time."""
-    lam, mu = _validate(lam, mu)
-    if order == "asc":
-        parts = tuple(reversed(mu))
-    elif order == "desc":
-        parts = mu
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    return _finalize(g_star_vacuum_coeff(lam, parts), lam, mu)
-
-
 @cache
 def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
     # peel mu[0] through one lowering-step table, expansion(lam, k) -> (nu, value)
@@ -168,6 +156,12 @@ def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
     for nu, value in expansion(lam, mu[0]):
         out = out + value * _g_peel(expansion, nu, mu[1:])
     return out
+
+
+def char_recursive(lam: Parts, mu: Parts) -> QPoly:
+    """Lowering recursion on the Q-basis, one part of mu at a time."""
+    lam, mu = _validate(lam, mu)
+    return _finalize(_g_peel(qbasis_expansion, lam, mu), lam, mu)
 
 
 def char_pfaffian(lam: Parts, mu: Parts) -> QPoly:
@@ -294,11 +288,7 @@ def char_hook_mu(lam: Parts, k: int) -> QPoly:
     total = ZERO
     for nu, value in gds_expansion(lam, k):
         total = total + value.scale(shifted_syt_count(nu))
-    quotient = exact_div_qminus1_pow(total, 1)
-    result = quotient.scale(Fraction(2 ** (n - k), 2 ** epsilon(lam)))
-    if not result.has_integer_coeffs():
-        raise NonDivisibleError(f"hook character for {lam} not integral")
-    return result
+    return _finalize(total.scale(2 ** (n - k)), lam, (k,))
 
 
 # ---------------------------------------------------------------------------

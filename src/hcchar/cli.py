@@ -3,7 +3,8 @@ output formats, spin bitrace values, and self-verification suites.
 
 Set HCCHAR_CACHE to a writable directory to persist computed tables as JSON;
 cache entries are cross-checked between two methods before being written,
-stored atomically, and ignored when unreadable.
+stored atomically, and ignored when unreadable.  A cache that cannot be
+written is an I/O error (exit status 4).
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], 
         return cached
     table = characters.char_table(n, method=method)
     if _cache_path(n) is not None:
-        # cached values must be method-independent
-        check = characters.char_table(n, method="recursive")
+        # cached values must agree with a second, independent method
+        check_method = "combinatorial" if method == "recursive" else "recursive"
+        check = characters.char_table(n, method=check_method)
         if check != table:
             raise NonDivisibleError(f"method disagreement while caching n={n}")
         store_cached_table(n, table)
@@ -285,7 +287,11 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    table = table_with_cache(args.n, method=args.method)
+    try:
+        table = table_with_cache(args.n, method=args.method)
+    except OSError as exc:
+        print(f"error: cannot write cache {_cache_path(args.n)}: {exc}", file=sys.stderr)
+        return EXIT_IO
     rendered = TABLE_RENDERERS[args.format](args.n, table)
     if args.out:
         try:
@@ -343,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run self-verification suites")
     p_verify.add_argument("--n-max", dest="n_max", type=int, default=7)
-    p_verify.add_argument(
-        "--suite", default="all", choices=["tables", "cross", "symmetry", "ortho", "all"]
-    )
+    p_verify.add_argument("--suite", default="all", choices=[*VERIFY_SUITES, "all"])
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -130,19 +130,6 @@ def odd_partitions_of(n: int) -> tuple[Parts, ...]:
     return tuple(_descending_parts(n, n, strict=False, odd=True))
 
 
-def compositions_of(total: int, length: int) -> list[Parts]:
-    """All length-`length` tuples of nonnegative ints summing to `total`."""
-    if length == 0:
-        return [()] if total == 0 else []
-    if length == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in compositions_of(total - first, length - 1):
-            out.append((first,) + rest)
-    return out
-
-
 def bounded_compositions(total: int, bounds: Parts) -> list[Parts]:
     """Compositions of `total` with 0 <= part_i <= bounds_i, same length."""
     if not bounds:

@@ -34,10 +34,6 @@ class QPoly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def const(c: Scalar) -> "QPoly":
-        return QPoly((c,))
-
-    @staticmethod
     def monomial(c: Scalar, exp: int) -> "QPoly":
         if exp < 0:
             raise ValueError("negative exponent")
@@ -173,7 +169,6 @@ class QPoly:
 
 ZERO = QPoly()
 ONE = QPoly((1,))
-VAR = QPoly((0, 1))
 
 
 def exact_div_qminus1_pow(f: QPoly, m: int) -> QPoly:

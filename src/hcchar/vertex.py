@@ -7,12 +7,8 @@ from __future__ import annotations
 from functools import cache
 
 from .gamma import GammaElement, apply_exp_partials, expand_q_n
-from .partitions import Parts, compositions_of
+from .partitions import Parts, bounded_compositions
 from .qpoly import ONE, QPoly, ZERO, round_bracket
-
-# A Q-basis element is a finite combination of Q_nu.1 over strict nu, with
-# the empty key standing for the vacuum.
-QBasisElement = dict[Parts, QPoly]
 
 
 # ---------------------------------------------------------------------------
@@ -128,32 +124,16 @@ def f_pair(m: int, n: int) -> QPoly:
 # ---------------------------------------------------------------------------
 # lowering action on the Q-basis
 
-def apply_g_star_Qbasis(k: int, element: QBasisElement) -> QBasisElement:
-    """One lowering step: on each Q_lam.1, sum f_tau Q_{lam - tau}.1 over all
-    compositions tau of k with l(lam) slots, straightening every term."""
-    if k < 0:
-        raise ValueError("negative degree")
-    if k == 0:
-        return dict(element)
-    out: QBasisElement = {}
-    for lam, coeff in element.items():
-        if not lam:
-            continue
-        for tau in compositions_of(k, len(lam)):
-            ftau = f_coeff(tau)
-            diff = tuple(l - t for l, t in zip(lam, tau))
-            for nu, c in straighten(diff).items():
-                value = (coeff * ftau).scale(c)
-                out[nu] = out.get(nu, ZERO) + value
-    return {k2: v for k2, v in out.items() if not v.is_zero()}
-
-
-def g_star_vacuum_coeff(lam: Parts, mu: Parts) -> QPoly:
-    """Apply the lowering operators for every part of mu to Q_lam.1 and read
-    off the vacuum coefficient."""
-    state: QBasisElement = {lam: ONE}
-    for part in mu:
-        state = apply_g_star_Qbasis(part, state)
-        if not state:
-            return ZERO
-    return state.get((), ZERO)
+@cache
+def qbasis_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
+    """One lowering step on Q_lam.1: the nonzero coefficients of Q_nu.1 in
+    the sum of f_tau Q_{lam - tau}.1 over all compositions tau of k with
+    l(lam) slots.  Parts of lam - tau may be negative; straightening turns
+    Q_m Q_{-m} into a vacuum term."""
+    out: dict[Parts, QPoly] = {}
+    for tau in bounded_compositions(k, (k,) * len(lam)):
+        ftau = f_coeff(tau)
+        diff = tuple(l - t for l, t in zip(lam, tau))
+        for nu, c in straighten(diff).items():
+            out[nu] = out.get(nu, ZERO) + ftau.scale(c)
+    return tuple((nu, value) for nu, value in out.items() if not value.is_zero())

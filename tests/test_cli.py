@@ -145,6 +145,38 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert code == 0 and again == cold
 
 
+def test_cache_cross_check_uses_a_second_method(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = cli.characters.char_table
+
+    def recording(n, method="auto"):
+        calls.append(method)
+        return original(n, method=method)
+
+    monkeypatch.setattr(cli.characters, "char_table", recording)
+    for method, check in (
+        ("recursive", "combinatorial"),
+        ("combinatorial", "recursive"),
+        ("auto", "recursive"),
+    ):
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / method))
+        calls.clear()
+        code, _, _ = run(capsys, "table", "--n", "4", "--method", method)
+        assert code == 0
+        assert calls == [method, check]
+
+
+def test_unwritable_cache_is_an_io_error(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "regular_file"
+    blocker.write_text("")
+    monkeypatch.setenv(cli.CACHE_ENV, str(blocker))
+    code, out, err = run(capsys, "table", "--n", "3")
+    assert code == cli.EXIT_IO and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(blocker / "chartable_n3.json") in lines[0]
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     from hcchar.qpoly import NonDivisibleError
 

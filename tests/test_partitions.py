@@ -7,7 +7,6 @@ from hcchar.partitions import (
     bounded_compositions,
     classify_skew,
     coarsenings,
-    compositions_of,
     contains,
     delta,
     epsilon,
@@ -60,9 +59,9 @@ def test_zt_denominator():
 
 
 def test_compositions():
-    assert compositions_of(2, 2) == [(2, 0), (1, 1), (0, 2)]
-    assert compositions_of(0, 3) == [(0, 0, 0)]
-    assert len(compositions_of(3, 2)) == 4
+    assert bounded_compositions(2, (2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    assert bounded_compositions(0, (0, 0, 0)) == [(0, 0, 0)]
+    assert len(bounded_compositions(3, (3, 3))) == 4
     assert bounded_compositions(1, (3, 1)) == [(1, 0), (0, 1)]
     assert bounded_compositions(4, (3, 1)) == [(3, 1)]
     assert set(bounded_compositions(2, (3, 3, 1))) == {

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from hcchar.characters import _g_peel
 from hcchar.gamma import (
     GammaElement,
     apply_g_star_pbasis,
@@ -13,11 +14,10 @@ from hcchar.qpoly import ONE, QPoly, ZERO, round_bracket
 from hcchar.vertex import (
     Q_lambda_vacuum,
     apply_Q_m,
-    apply_g_star_Qbasis,
     f_coeff,
     f_pair,
     f_single,
-    g_star_vacuum_coeff,
+    qbasis_expansion,
     straighten,
 )
 
@@ -84,17 +84,38 @@ def test_f_pair():
                 assert f_pair(m, n) == ZERO
 
 
-def test_apply_g_star_Qbasis_examples():
-    assert apply_g_star_Qbasis(1, {(1,): ONE}) == {(): QPoly((-2, 2))}
-    assert apply_g_star_Qbasis(5, {(5,): ONE}) == {
-        (): QPoly((-2, 2)) * round_bracket(5)
-    }
-    assert apply_g_star_Qbasis(3, {(): ONE}) == {}
+def test_qbasis_expansion_examples():
+    assert qbasis_expansion((1,), 1) == (((), QPoly((-2, 2))),)
+    assert qbasis_expansion((5,), 5) == (((), QPoly((-2, 2)) * round_bracket(5)),)
+    assert qbasis_expansion((), 3) == ()
 
 
-def test_g_star_vacuum_coeff_small():
+def test_qbasis_peel_small():
     # lowering (2,1) by 1 then 1 then 1 leaves f_1^3 on the vacuum
-    assert g_star_vacuum_coeff((2, 1), (1, 1, 1)) == QPoly((-2, 2)) ** 3
+    assert _g_peel(qbasis_expansion, (2, 1), (1, 1, 1)) == QPoly((-2, 2)) ** 3
+
+
+def _lower(element, k):
+    # one lowering step on a Q-basis combination {nu: coefficient}
+    out = {}
+    for lam, coeff in element.items():
+        for nu, value in qbasis_expansion(lam, k):
+            out[nu] = out.get(nu, ZERO) + coeff * value
+    return {nu: value for nu, value in out.items() if not value.is_zero()}
+
+
+def test_qbasis_lowering_steps_commute():
+    # lowering by a then b equals lowering by b then a on every Q_lam.1
+    cases = 0
+    for n in range(2, 9):
+        for lam in strict_partitions_of(n):
+            for a in range(1, n):
+                for b in range(a + 1, n - a + 1):
+                    start = {lam: ONE}
+                    a_then_b = _lower(_lower(start, a), b)
+                    assert a_then_b == _lower(_lower(start, b), a), (lam, a, b)
+                    cases += 1
+    assert cases == 159
 
 
 def _random_gamma_elements(rng, max_degree):
@@ -130,7 +151,7 @@ def test_g_star_pbasis_matches_Qbasis():
             for k in range(1, n + 1):
                 lhs = apply_g_star_pbasis(k, Q_lambda_vacuum(lam))
                 rhs = GammaElement.zero()
-                for nu, coeff in apply_g_star_Qbasis(k, {lam: ONE}).items():
+                for nu, coeff in qbasis_expansion(lam, k):
                     rhs = rhs + Q_lambda_vacuum(nu).scale(coeff)
                 assert lhs == rhs, (lam, k)
 
