@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .qpoly import ONE, QPoly, q_pow_minus_one
+from .qpoly import NonDivisibleError, ONE, QPoly, q_pow_minus_one
 
 Parts = tuple[int, ...]
 
@@ -202,98 +201,55 @@ class SkewClassification:
     l_jump: int
 
 
-def _has_2x2_block(cells: frozenset[tuple[int, int]]) -> bool:
-    return any(
-        (i, j + 1) in cells and (i + 1, j) in cells and (i + 1, j + 1) in cells
-        for (i, j) in cells
-    )
-
-
-def strict_partitions_between(mu: Parts, lam: Parts):
-    """All strict nu with mu subseteq nu subseteq lam entrywise."""
-    bounds_lo = tuple(mu) + (0,) * (len(lam) - len(mu))
-
-    def rec(i: int, prev: int):
-        if i == len(lam):
-            yield ()
-            return
-        hi = min(lam[i], prev - 1)
-        for v in range(hi, bounds_lo[i] - 1, -1):
-            if v == 0:
-                yield ()
-            else:
-                for rest in rec(i + 1, v):
-                    yield (v,) + rest
-
-    yield from rec(0, lam[0] + 1 if lam else 1)
-
-
-def gds_split_exists(lam: Parts, mu: Parts) -> bool:
-    """Definition-faithful test: some strict nu between mu and lam splits the
-    skew into two parts, each free of a 2x2 block."""
-    lam_cells = shifted_cells(lam)
-    mu_cells = shifted_cells(mu)
-    for nu in strict_partitions_between(mu, lam):
-        nu_cells = shifted_cells(nu)
-        if not _has_2x2_block(lam_cells - nu_cells) and not _has_2x2_block(
-            nu_cells - mu_cells
-        ):
-            return True
-    return False
-
-
-def _connected_components(cells: set[tuple[int, int]]) -> list[set[tuple[int, int]]]:
-    remaining = set(cells)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        remaining.discard(seed)
-        while frontier:
-            i, j = frontier.pop()
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    comp.add(nb)
-                    frontier.append(nb)
-        comps.append(comp)
-    return comps
-
-
 @cache
 def classify_skew(lam: Parts, mu: Parts) -> SkewClassification:
-    """Classify the shifted skew lam*/mu* into strip types.
+    """Classify the shifted skew lam*/mu* into strip types by row arithmetic.
 
-    Membership requires both the intermediate-partition split of
-    gds_split_exists and that no diagonal hold more than two cells; the
-    second condition is what makes the two-cell/one-cell decomposition
-    behind the weight formula well defined.  A raw split can exist without
-    it (the full diagram of (3,2,1) is the smallest case), but every such
-    shape has zero weight, which the test suite checks against the Pfaffian
-    values for all shapes of weight up to eight.
+    Both shapes must be strict partitions with mu inside lam; anything else
+    is NOT_GDS.  Pad nu = mu with zeros to length l(lam).  Row i of lam*/nu*
+    covers the diagonals nu_i .. lam_i - 1, and the rows covering one
+    diagonal are consecutive, so no diagonal holds three cells exactly when
+    nu_i >= lam_{i+2} for every i.
+
+    That diagonal test implies the definition's split into two pieces free
+    of 2x2 blocks, at every weight.  For strict beta inside alpha,
+    alpha*/beta* has a 2x2 block exactly when some i has
+    max(beta_i, beta_{i+1} + 1) <= alpha_{i+1} - 1.  Given the diagonal test,
+    set kappa_i = max(nu_i, lam_{i+1}): kappa is strict, nu <= kappa <= lam,
+    lam*/kappa* has no block because kappa_i >= lam_{i+1}, and kappa*/nu*
+    has none because a block would need nu_i < kappa_{i+1} = lam_{i+2}.  (The
+    proof needs a strict mu: (4,3,2,1)/(2,1,1,1) passes the diagonal test but
+    has no split.)  The converse fails: the full diagram of (3,2,1) splits
+    but has a three-cell diagonal, and such shapes carry zero weight.
+
+    Rows i and i+1 share the diagonals nu_i .. lam_{i+1} - 1, which gives c.
+    The one-cell diagonals of row i run from max(nu_i, lam_{i+1}) to
+    min(lam_i, nu_{i-1}) - 1, with nu_0 infinite.  The cell of row i on
+    diagonal d sits above the cell of row i+1 on diagonal d - 1.  Row i+1's
+    segment stops before min(lam_{i+1}, nu_i) <= max(nu_i, lam_{i+1}), where
+    row i's starts, so the two join exactly when nu_i = lam_{i+1}, which
+    also makes both nonempty.
     """
     l_jump = len(lam) - len(mu)
-    if not contains(lam, mu):
-        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
-    skew = shifted_cells(lam) - shifted_cells(mu)
+    not_gds = SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
+    strict = is_strict_partition(lam) and is_strict_partition(mu)
+    if not strict or not contains(lam, mu):
+        return not_gds
+    n = len(lam)
+    nu = mu + (0,) * l_jump
+    below = lam[1:] + (0, 0)
+    if any(nu[i] < below[i + 1] for i in range(n)):
+        return not_gds
 
-    diag_counts: dict[int, int] = {}
-    for i, j in skew:
-        diag_counts[j - i] = diag_counts.get(j - i, 0) + 1
-    if any(v > 2 for v in diag_counts.values()):
-        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
-    if skew and not gds_split_exists(lam, mu):
-        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
-
-    c = sum(1 for v in diag_counts.values() if v == 2)
-    beta_cells = {cell for cell in skew if diag_counts[cell[1] - cell[0]] == 1}
-    comps = sorted(_connected_components(beta_cells), key=min)
-    rows: list[Parts] = []
-    for comp in comps:
-        row_ids = sorted({i for i, _ in comp})
-        rows.append(tuple(sum(1 for i, _ in comp if i == r) for r in row_ids))
-    beta_components = tuple(rows)
+    c = sum(max(0, below[i] - nu[i]) for i in range(n))
+    components: list[Parts] = []
+    for i in range(n):
+        size = min(lam[i], nu[i - 1] if i else lam[i]) - max(nu[i], below[i])
+        if i and nu[i - 1] == lam[i]:
+            components[-1] += (size,)
+        elif size > 0:
+            components.append((size,))
+    beta_components = tuple(components)
 
     m = len(beta_components)
     if c == 0 and m == 1:
@@ -371,15 +327,16 @@ def shifted_syt_count(lam: Parts) -> int:
     formula n!/(prod lam_i!) * prod_{i<j} (lam_i-lam_j)/(lam_i+lam_j)."""
     if lam:
         ensure_strict_partition(lam)
-    n = weight(lam)
-    value = Fraction(factorial(n))
-    for p in lam:
-        value /= factorial(p)
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            value *= Fraction(lam[i] - lam[j], lam[i] + lam[j])
-    assert value.denominator == 1, f"non-integer tableau count for {lam}"
-    return int(value)
+    num, den = factorial(weight(lam)), 1
+    for i, p in enumerate(lam):
+        den *= factorial(p)
+        for r in lam[i + 1:]:
+            num *= p - r
+            den *= p + r
+    count, rest = divmod(num, den)
+    if rest:
+        raise NonDivisibleError(f"non-integer tableau count for {lam}")
+    return count
 
 
 # ---------------------------------------------------------------------------

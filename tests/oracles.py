@@ -3,7 +3,13 @@ is checked against."""
 
 from functools import cache
 
-from hcchar.partitions import Parts
+from hcchar.partitions import (
+    Parts,
+    SkewClassification,
+    SkewKind,
+    contains,
+    shifted_cells,
+)
 from hcchar.qpoly import ONE, QPoly, ZERO
 
 
@@ -38,3 +44,107 @@ def shifted_syt_count_enumerated(lam: Parts) -> int:
         elif p == 1 and i == len(lam) - 1:
             total += shifted_syt_count_enumerated(lam[:i])
     return total
+
+
+def _has_2x2_block(cells: frozenset[tuple[int, int]]) -> bool:
+    return any(
+        (i, j + 1) in cells and (i + 1, j) in cells and (i + 1, j + 1) in cells
+        for (i, j) in cells
+    )
+
+
+def strict_partitions_between(mu: Parts, lam: Parts):
+    """All strict nu with mu subseteq nu subseteq lam entrywise."""
+    bounds_lo = tuple(mu) + (0,) * (len(lam) - len(mu))
+
+    def rec(i: int, prev: int):
+        if i == len(lam):
+            yield ()
+            return
+        hi = min(lam[i], prev - 1)
+        for v in range(hi, bounds_lo[i] - 1, -1):
+            if v == 0:
+                yield ()
+            else:
+                for rest in rec(i + 1, v):
+                    yield (v,) + rest
+
+    yield from rec(0, lam[0] + 1 if lam else 1)
+
+
+def gds_split_exists(lam: Parts, mu: Parts) -> bool:
+    """Definition-faithful test: some strict nu between mu and lam splits the
+    skew into two parts, each free of a 2x2 block."""
+    lam_cells = shifted_cells(lam)
+    mu_cells = shifted_cells(mu)
+    for nu in strict_partitions_between(mu, lam):
+        nu_cells = shifted_cells(nu)
+        if not _has_2x2_block(lam_cells - nu_cells) and not _has_2x2_block(
+            nu_cells - mu_cells
+        ):
+            return True
+    return False
+
+
+def _connected_components(cells: set[tuple[int, int]]) -> list[set[tuple[int, int]]]:
+    remaining = set(cells)
+    comps = []
+    while remaining:
+        seed = min(remaining)
+        comp = {seed}
+        frontier = [seed]
+        remaining.discard(seed)
+        while frontier:
+            i, j = frontier.pop()
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in remaining:
+                    remaining.discard(nb)
+                    comp.add(nb)
+                    frontier.append(nb)
+        comps.append(comp)
+    return comps
+
+
+def classify_skew_by_cells(lam: Parts, mu: Parts) -> SkewClassification:
+    """Cell-set reference for partitions.classify_skew.
+
+    Membership requires both the intermediate-partition split of
+    gds_split_exists and that no diagonal hold more than two cells; the
+    second condition is what makes the two-cell/one-cell decomposition
+    behind the weight formula well defined.  A raw split can exist without
+    it (the full diagram of (3,2,1) is the smallest case), but every such
+    shape has zero weight, which the test suite checks against the Pfaffian
+    values for all shapes of weight up to eight.
+    """
+    l_jump = len(lam) - len(mu)
+    if not contains(lam, mu):
+        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
+    skew = shifted_cells(lam) - shifted_cells(mu)
+
+    diag_counts: dict[int, int] = {}
+    for i, j in skew:
+        diag_counts[j - i] = diag_counts.get(j - i, 0) + 1
+    if any(v > 2 for v in diag_counts.values()):
+        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
+    if skew and not gds_split_exists(lam, mu):
+        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
+
+    c = sum(1 for v in diag_counts.values() if v == 2)
+    beta_cells = {cell for cell in skew if diag_counts[cell[1] - cell[0]] == 1}
+    comps = sorted(_connected_components(beta_cells), key=min)
+    rows: list[Parts] = []
+    for comp in comps:
+        row_ids = sorted({i for i, _ in comp})
+        rows.append(tuple(sum(1 for i, _ in comp if i == r) for r in row_ids))
+    beta_components = tuple(rows)
+
+    m = len(beta_components)
+    if c == 0 and m == 1:
+        kind = SkewKind.SHIFTED_BORDER_STRIP
+    elif c == 0:
+        kind = SkewKind.GENERALIZED_STRIP
+    elif m == 1:
+        kind = SkewKind.DOUBLE_STRIP
+    else:
+        kind = SkewKind.GENERALIZED_DOUBLE_STRIP
+    return SkewClassification(kind, c, beta_components, l_jump)

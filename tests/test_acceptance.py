@@ -58,6 +58,12 @@ def test_criterion_1_golden_tables():
 
 
 def test_criterion_2_worked_examples():
+    """Known red: the pin for (6,2,1)/(5,3,1) is kept as written.
+
+    The pinned polynomial is not the misplaced value of another cell:
+    neither it nor its negative appears in any odd-mu cell of weight at most
+    11, or in any cell (any mu) of weight 9.
+    """
     assert char_combinatorial((4, 2), (3, 3)) == QPoly((4, -16, 28, -16, 4))
     assert char_combinatorial((4, 2, 1), (3, 3, 1)) == QPoly((8, -48, 72, -48, 8))
     # pinned benchmark: -8(q-1)(4q^4 - 10q^3 + 10q^2 - 4q - 1)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hcchar.characters import NotGdsError, wt_gds
 from hcchar.partitions import (
     SkewKind,
     a_statistic,
@@ -10,7 +11,6 @@ from hcchar.partitions import (
     contains,
     delta,
     epsilon,
-    gds_split_exists,
     odd_partitions_of,
     parse_parts,
     partitions_of,
@@ -25,7 +25,11 @@ from hcchar.partitions import (
     zt_denominator,
 )
 from hcchar.qpoly import ONE, QPoly
-from oracles import shifted_syt_count_enumerated
+from oracles import (
+    classify_skew_by_cells,
+    gds_split_exists,
+    shifted_syt_count_enumerated,
+)
 
 
 def test_enumeration_examples():
@@ -149,6 +153,24 @@ def test_classification_invariants_up_to_8():
             for row in (len(mu) + 1, len(mu) + 2):
                 assert (row, row) in skew
                 assert diag[0] == 2
+
+
+def test_classify_skew_matches_cell_reference_up_to_18():
+    # the row arithmetic against the cell sets, flood fill and split search
+    pairs = 0
+    for lam, mu in _all_skew_pairs(18):
+        assert classify_skew(lam, mu) == classify_skew_by_cells(lam, mu), (lam, mu)
+        pairs += 1
+    assert pairs == 12442
+
+
+def test_classify_skew_rejects_non_strict_shapes():
+    # a shifted diagram needs strict parts, so these shapes lie outside the
+    # classification and carry no strip weight
+    for lam, mu in [((3, 1), (1, 1)), ((2, 2), ()), ((4, 3, 2, 1), (2, 1, 1, 1))]:
+        assert classify_skew(lam, mu).kind is SkewKind.NOT_GDS, (lam, mu)
+        with pytest.raises(NotGdsError):
+            wt_gds(lam, mu)
 
 
 def test_diagonal_filter_soundness():

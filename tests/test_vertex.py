@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -45,11 +46,12 @@ def test_straighten_examples():
     assert straighten((4, 0, 1)) == {(4, 1): -1}
 
 
+@functools.cache
 def _oracle_word(seq):
-    out = GammaElement.one()
-    for m in reversed(seq):
-        out = apply_Q_m(m, out)
-    return out
+    # Q_{seq[0]} ... Q_{seq[-1]} . 1, sharing every suffix between words
+    if not seq:
+        return GammaElement.one()
+    return apply_Q_m(seq[0], _oracle_word(seq[1:]))
 
 
 def test_straighten_matches_oracle_exhaustively():
