@@ -24,7 +24,7 @@ from .partitions import (
     weight,
     z_lambda,
 )
-from .qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow, q_pow_minus_one
+from .qpoly import NonDivisibleError, ONE, QPoly, ZERO, exact_div_qminus1_pow, q_pow_minus_one
 
 
 class WeightMismatchError(ValueError):
@@ -76,7 +76,8 @@ def alpha_direct_sum(n: int) -> QPoly:
         for part in rho:
             term = term * q_pow_minus_one(part) ** 2
         out = out + term.scale(Fraction(2 ** len(rho), z_lambda(rho)))
-    assert out.has_integer_coeffs(), f"alpha_{n} direct sum not integral"
+    if not out.has_integer_coeffs():
+        raise NonDivisibleError(f"alpha_{n} direct sum not integral: {out.to_text()}")
     return out
 
 

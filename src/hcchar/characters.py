@@ -20,7 +20,7 @@ from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
     SkewKind,
-    bounded_compositions,
+    bounded_composition_groups,
     classify_skew,
     coarsenings,
     delta,
@@ -179,6 +179,22 @@ def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
 
 
 @cache
+def _pieri_f_sums(mu: Parts, i: int) -> tuple[tuple[Parts, QPoly], ...]:
+    """The sum of f_tau over the compositions tau of i bounded by mu, split
+    by the partition rest = mu - tau that each leaves: every tau leaving the
+    same rest shares one inner strip sum in the Pieri recursion.  The
+    compositions are counted per multiset, so each distinct f-product is
+    scaled once."""
+    counts: dict[tuple[Parts, Parts], int] = {}
+    for taken, rest, count in bounded_composition_groups(i, mu):
+        counts[rest, taken] = counts.get((rest, taken), 0) + count
+    f_by_rest: dict[Parts, QPoly] = {}
+    for (rest, taken), count in counts.items():
+        f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_coeff(taken).scale(count)
+    return tuple(f_by_rest.items())
+
+
+@cache
 def _g_pieri(lam: Parts, mu: Parts) -> QPoly:
     if not lam:
         return ONE
@@ -190,12 +206,7 @@ def _g_pieri(lam: Parts, mu: Parts) -> QPoly:
         if not strips:
             continue
         sign = (-1) ** (i - lam[0])
-        # every tau leaving the same rest shares one inner strip sum
-        f_by_rest: dict[Parts, QPoly] = {}
-        for tau in bounded_compositions(i, mu):
-            rest = sort_desc(m - t for m, t in zip(mu, tau))
-            f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_coeff(tau)
-        for rest, f_sum in f_by_rest.items():
+        for rest, f_sum in _pieri_f_sums(mu, i):
             inner = ZERO
             for xi, a in strips:
                 inner = inner + _g_pieri(xi, rest).scale(2**a)

@@ -4,7 +4,9 @@ output formats, spin bitrace values, and self-verification suites.
 Set HCCHAR_CACHE to a writable directory to persist computed tables as JSON;
 cache entries are cross-checked between two methods before being written,
 stored atomically, and ignored when unreadable.  A cache that cannot be
-written is an I/O error (exit status 4).
+written is an I/O error (exit status 4); a cross-check that finds the two
+methods disagreeing names the first differing cell, writes nothing and
+fails (exit status 1).
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_IO = 4
+
+
+class MethodDisagreementError(Exception):
+    """Two methods computed different values for one table cell."""
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +127,14 @@ def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], 
         # cached values must agree with a second, independent method
         check_method = "combinatorial" if method == "recursive" else "recursive"
         check = characters.char_table(n, method=check_method)
-        if check != table:
-            raise NonDivisibleError(f"method disagreement while caching n={n}")
+        for (lam, mu), value in table.items():
+            if check[(lam, mu)] != value:
+                raise MethodDisagreementError(
+                    f"methods disagree while caching n={n} at "
+                    f"lambda={format_parts(lam)}, mu={format_parts(mu)}: "
+                    f"{method} gives {value.to_text()}, "
+                    f"{check_method} gives {check[(lam, mu)].to_text()}"
+                )
         store_cached_table(n, table)
     return table
 
@@ -292,6 +304,9 @@ def _cmd_table(args) -> int:
     except OSError as exc:
         print(f"error: cannot write cache {_cache_path(args.n)}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MethodDisagreementError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     rendered = TABLE_RENDERERS[args.format](args.n, table)
     if args.out:
         try:

@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import cache
 
 from .gamma import GammaElement, apply_exp_partials, expand_q_n
-from .partitions import Parts, bounded_compositions
+from .partitions import Parts, bounded_compositions, sort_desc
 from .qpoly import ONE, QPoly, ZERO, round_bracket
 
 
@@ -96,15 +96,21 @@ def f_single(i: int) -> QPoly:
 
 
 @cache
+def _f_product(parts: Parts) -> QPoly:
+    # parts: positive and sorted, so each multiset costs one multiply
+    if not parts:
+        return ONE
+    return f_single(parts[0]) * _f_product(parts[1:])
+
+
+@cache
 def f_coeff(tau: Parts) -> QPoly:
-    """Product of f over the parts of a composition; zeros contribute 1."""
-    out = ONE
-    for part in tau:
-        if part < 0:
-            return ZERO
-        if part:
-            out = out * f_single(part)
-    return out
+    """Product of f over the parts of a composition; zeros contribute 1 and a
+    negative part makes it zero.  The product depends only on the multiset of
+    nonzero parts, so every reordering of tau shares one computed product."""
+    if any(part < 0 for part in tau):
+        return ZERO
+    return _f_product(sort_desc(tau))
 
 
 @cache
@@ -129,11 +135,19 @@ def qbasis_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     """One lowering step on Q_lam.1: the nonzero coefficients of Q_nu.1 in
     the sum of f_tau Q_{lam - tau}.1 over all compositions tau of k with
     l(lam) slots.  Parts of lam - tau may be negative; straightening turns
-    Q_m Q_{-m} into a vacuum term."""
-    out: dict[Parts, QPoly] = {}
+    Q_m Q_{-m} into a vacuum term.
+
+    Every lam - tau is straightened on its own.  The integer straightening
+    coefficients are summed per (nu, multiset of tau) first, so each nu
+    takes one scaled f-product per distinct multiset, not one per tau."""
+    counts: dict[tuple[Parts, Parts], int] = {}
     for tau in bounded_compositions(k, (k,) * len(lam)):
-        ftau = f_coeff(tau)
+        parts = sort_desc(tau)
         diff = tuple(l - t for l, t in zip(lam, tau))
         for nu, c in straighten(diff).items():
-            out[nu] = out.get(nu, ZERO) + ftau.scale(c)
+            counts[nu, parts] = counts.get((nu, parts), 0) + c
+    out: dict[Parts, QPoly] = {}
+    for (nu, parts), c in counts.items():
+        if c:
+            out[nu] = out.get(nu, ZERO) + _f_product(parts).scale(c)
     return tuple((nu, value) for nu, value in out.items() if not value.is_zero())

@@ -7,10 +7,13 @@ from hcchar.partitions import (
     Parts,
     SkewClassification,
     SkewKind,
+    bounded_compositions,
     contains,
     shifted_cells,
+    sort_desc,
 )
 from hcchar.qpoly import ONE, QPoly, ZERO
+from hcchar.vertex import f_coeff, straighten
 
 
 def determinant(rows: list[list[QPoly]]) -> QPoly:
@@ -148,3 +151,25 @@ def classify_skew_by_cells(lam: Parts, mu: Parts) -> SkewClassification:
     else:
         kind = SkewKind.GENERALIZED_DOUBLE_STRIP
     return SkewClassification(kind, c, beta_components, l_jump)
+
+
+def qbasis_expansion_by_composition(lam: Parts, k: int) -> dict[Parts, QPoly]:
+    """Reference for vertex.qbasis_expansion: one scaled f_tau per composition
+    tau and straightening term, with no grouping by multiset."""
+    out: dict[Parts, QPoly] = {}
+    for tau in bounded_compositions(k, (k,) * len(lam)):
+        ftau = f_coeff(tau)
+        diff = tuple(l - t for l, t in zip(lam, tau))
+        for nu, c in straighten(diff).items():
+            out[nu] = out.get(nu, ZERO) + ftau.scale(c)
+    return {nu: value for nu, value in out.items() if not value.is_zero()}
+
+
+def pieri_f_sums_by_composition(mu: Parts, i: int) -> dict[Parts, QPoly]:
+    """Reference for characters._pieri_f_sums: f_tau added once per composition
+    tau of i bounded by mu, keyed by the partition mu - tau."""
+    f_by_rest: dict[Parts, QPoly] = {}
+    for tau in bounded_compositions(i, mu):
+        rest = sort_desc(m - t for m, t in zip(mu, tau))
+        f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_coeff(tau)
+    return f_by_rest

@@ -87,7 +87,7 @@ def test_criterion_2_supplement_six_two_one_cross_checked():
 
 def test_criterion_3_five_way_agreement():
     start = time.perf_counter()
-    n_max = 10
+    n_max = 12
     comparisons = 0
     for n in range(0, n_max + 1):
         for mu in odd_partitions_of(n):

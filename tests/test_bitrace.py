@@ -2,6 +2,7 @@ from math import factorial
 
 import pytest
 
+from hcchar import bitrace
 from hcchar.bitrace import (
     T_mu_nu,
     WeightMismatchError,
@@ -13,7 +14,7 @@ from hcchar.bitrace import (
 )
 from hcchar.characters import orthogonality_sum
 from hcchar.partitions import nonzero_length, odd_partitions_of, partitions_of, z_lambda
-from hcchar.qpoly import ONE, QPoly, ZERO
+from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO
 
 
 def test_alpha_examples():
@@ -29,6 +30,13 @@ def test_alpha_recursion_matches_direct_sum():
         value = alpha(n)
         assert value == alpha_direct_sum(n), n
         assert value.has_integer_coeffs()
+
+
+def test_alpha_direct_sum_rejects_a_non_integral_sum(monkeypatch):
+    # the check must raise, not assert, so that it also holds under python -O
+    monkeypatch.setattr(bitrace, "z_lambda", lambda rho: 7 * z_lambda(rho))
+    with pytest.raises(NonDivisibleError, match="alpha_3"):
+        alpha_direct_sum(3)
 
 
 def test_T_examples():

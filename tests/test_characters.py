@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcchar.characters import (
     BadShapeError,
     NotGdsError,
     _g_peel,
+    _pieri_f_sums,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -25,12 +27,13 @@ from hcchar.golden import golden_table
 from hcchar.partitions import (
     nonzero_length,
     odd_partitions_of,
+    partitions_of,
     strict_partitions_of,
 )
 from hcchar.pfaffian import skew_Q_principal
 from hcchar.qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow, round_bracket
 from hcchar.vertex import f_single
-from oracles import determinant
+from oracles import determinant, pieri_f_sums_by_composition
 
 
 def test_wt_gds_examples():
@@ -101,6 +104,34 @@ def test_pieri_full_table_n5():
     assert table == golden_table(5)
     assert char_pieri((5, 1), (5, 1)) == QPoly((2, -6, 6, -6, 2))
     assert char_pieri((7,), (1,) * 7) == QPoly((128,))
+
+
+def test_pieri_f_sums_match_composition_by_composition():
+    # counting compositions per multiset changes no f-sum
+    checked = 0
+    for n in range(13):
+        for mu in partitions_of(n):
+            for i in range(n + 1):
+                grouped = dict(_pieri_f_sums(mu, i))
+                assert grouped == pieri_f_sums_by_composition(mu, i), (mu, i)
+                checked += 1
+    assert checked == 2918
+
+
+@st.composite
+def _large_odd_cells(draw):
+    n = draw(st.integers(13, 18))
+    lam = draw(st.sampled_from(strict_partitions_of(n)))
+    mu = draw(st.sampled_from(odd_partitions_of(n)))
+    return lam, mu
+
+
+@settings(max_examples=12, deadline=None)
+@given(_large_odd_cells())
+def test_pieri_agrees_on_random_large_cells(cell):
+    lam, mu = cell
+    value = char_pieri(lam, mu)
+    assert value == char_combinatorial(lam, mu) == char_recursive(lam, mu), cell
 
 
 def test_two_row_series_matches_definitional_sums():

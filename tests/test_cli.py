@@ -166,6 +166,26 @@ def test_cache_cross_check_uses_a_second_method(tmp_path, capsys, monkeypatch):
         assert calls == [method, check]
 
 
+def test_cache_cross_check_names_the_disagreeing_cell(tmp_path, capsys, monkeypatch):
+    original = cli.characters.char_table
+
+    def second_method_off_by_one(n, method="auto"):
+        table = original(n, method=method)
+        if method == "recursive":
+            table[((3, 1), (3, 1))] = table[((3, 1), (3, 1))] + QPoly((1,))
+        return table
+
+    monkeypatch.setattr(cli.characters, "char_table", second_method_off_by_one)
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    code, out, err = run(capsys, "table", "--n", "4")
+    assert code == cli.EXIT_FAIL and out == ""
+    assert err.splitlines() == [
+        "error: methods disagree while caching n=4 at lambda=3,1, mu=3,1: "
+        "auto gives 2*q^2 - 6*q + 2, recursive gives 2*q^2 - 6*q + 3"
+    ]
+    assert not list(tmp_path.iterdir())
+
+
 def test_unwritable_cache_is_an_io_error(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "regular_file"
     blocker.write_text("")

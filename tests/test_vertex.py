@@ -21,6 +21,7 @@ from hcchar.vertex import (
     qbasis_expansion,
     straighten,
 )
+from oracles import qbasis_expansion_by_composition
 
 
 def test_apply_Q_m_examples():
@@ -69,6 +70,11 @@ def test_f_coefficients():
     assert f_coeff((0,)) == ONE
     assert f_coeff((1, 1)) == QPoly((-2, 2)) ** 2
     assert f_single(0) == ONE and f_single(-2) == ZERO
+    for tau in ((3, 0, 1, 1), (2, 2, 1, 0, 5), (4, -1, 2), (0, 0, 0)):
+        value = f_coeff(tau)
+        assert all(f_coeff(p) == value for p in itertools.permutations(tau)), tau
+    assert f_coeff((3, 0, 1, 1)) == f_single(3) * f_single(1) ** 2
+    assert f_coeff((4, -1, 2)) == ZERO
 
 
 def test_f_pair():
@@ -90,6 +96,18 @@ def test_qbasis_expansion_examples():
     assert qbasis_expansion((1,), 1) == (((), QPoly((-2, 2))),)
     assert qbasis_expansion((5,), 5) == (((), QPoly((-2, 2)) * round_bracket(5)),)
     assert qbasis_expansion((), 3) == ()
+
+
+def test_qbasis_expansion_matches_composition_by_composition():
+    # grouping the f-products by multiset changes no coefficient
+    steps = 0
+    for n in range(11):
+        for lam in strict_partitions_of(n):
+            for k in range(n + 1):
+                grouped = dict(qbasis_expansion(lam, k))
+                assert grouped == qbasis_expansion_by_composition(lam, k), (lam, k)
+                steps += 1
+    assert steps == 354
 
 
 def test_qbasis_peel_small():
