@@ -20,7 +20,6 @@ from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
     SkewKind,
-    bounded_composition_groups,
     classify_skew,
     coarsenings,
     delta,
@@ -46,7 +45,7 @@ from .qpoly import (
     exact_div_qminus1_pow,
     round_bracket,
 )
-from .vertex import Q_lambda_vacuum, f_coeff, qbasis_expansion
+from .vertex import Q_lambda_vacuum, f_coeff, f_single, qbasis_expansion
 
 
 class NotGdsError(ValueError):
@@ -181,16 +180,17 @@ def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
 @cache
 def _pieri_f_sums(mu: Parts, i: int) -> tuple[tuple[Parts, QPoly], ...]:
     """The sum of f_tau over the compositions tau of i bounded by mu, split
-    by the partition rest = mu - tau that each leaves: every tau leaving the
-    same rest shares one inner strip sum in the Pieri recursion.  The
-    compositions are counted per multiset, so each distinct f-product is
-    scaled once."""
-    counts: dict[tuple[Parts, Parts], int] = {}
-    for taken, rest, count in bounded_composition_groups(i, mu):
-        counts[rest, taken] = counts.get((rest, taken), 0) + count
+    by the partition rest = mu - tau that each leaves (each rest shares one
+    inner strip sum in the Pieri recursion).  Built part by part: tau_1 = t
+    gives f_t times the sums of (mu[1:], i - t), with a nonzero mu_1 - t
+    merged into their rests; equal suffixes of mu share the memo."""
+    if not mu:
+        return (((), ONE),) if i == 0 else ()
     f_by_rest: dict[Parts, QPoly] = {}
-    for (rest, taken), count in counts.items():
-        f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_coeff(taken).scale(count)
+    for t in range(min(mu[0], i) + 1):
+        for rest, f_sum in _pieri_f_sums(mu[1:], i - t):
+            rest = sort_desc((mu[0] - t,) + rest)
+            f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_single(t) * f_sum
     return tuple(f_by_rest.items())
 
 

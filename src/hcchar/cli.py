@@ -184,78 +184,110 @@ TABLE_RENDERERS = {
 # ---------------------------------------------------------------------------
 # verification suites
 
+# Each suite yields (description, failure) per check: failure is None when
+# the check passes, else the first failing cell and every value compared.
+
+def _cell(lam: Parts, mu: Parts) -> str:
+    return f"lambda={format_parts(lam)}, mu={format_parts(mu)}"
+
+
+def _table_differences(computed: dict, expected: dict):
+    for cell in [*computed, *(cell for cell in expected if cell not in computed)]:
+        if computed.get(cell) != expected.get(cell):
+            mine, published = (
+                table[cell].to_text() if cell in table else "nothing"
+                for table in (computed, expected)
+            )
+            yield f"{_cell(*cell)}: computed {mine}, published {published}"
+
+
 def _suite_tables(n_max: int):
     for n in range(3, min(n_max, 7) + 1):
         computed = characters.char_table(n, method="auto")
         expected = golden.golden_table(n)
-        ok = computed == expected
-        yield f"table n={n} matches the published table ({len(expected)} cells)", ok
+        failure = next(_table_differences(computed, expected), None)
+        yield f"table n={n} matches the published table ({len(expected)} cells)", failure
+
+
+def _method_disagreements(n: int):
+    for mu in odd_partitions_of(n):
+        for lam in strict_partitions_of(n):
+            values = {name: fn(lam, mu) for name, fn in characters.METHODS.items()}
+            if len(set(values.values())) != 1:
+                yield f"{_cell(lam, mu)}: " + ", ".join(
+                    f"{name} gives {value.to_text()}" for name, value in values.items()
+                )
+
+
+def _closed_form_disagreements(n: int):
+    def closed_forms():
+        for mu in odd_partitions_of(n):
+            yield "one-row", (n,), mu, characters.char_one_row(mu)
+            for k in range(n // 2 + 1, n):
+                yield "two-row", (k, n - k), mu, characters.char_two_row(k, mu)
+        for lam in strict_partitions_of(n):
+            yield "one-column", lam, (1,) * n, characters.char_column(lam)
+            for k in range(1, n + 1, 2):
+                yield "hook", lam, (k,) + (1,) * (n - k), characters.char_hook_mu(lam, k)
+
+    for form, lam, mu, value in closed_forms():
+        base = characters.char_combinatorial(lam, mu)
+        if value != base:
+            yield (
+                f"{_cell(lam, mu)}: {form} form gives {value.to_text()}, "
+                f"combinatorial gives {base.to_text()}"
+            )
 
 
 def _suite_cross(n_max: int):
     for n in range(1, n_max + 1):
-        ok = True
-        for mu in odd_partitions_of(n):
-            for lam in strict_partitions_of(n):
-                values = {
-                    name: fn(lam, mu) for name, fn in characters.METHODS.items()
-                }
-                if len(set(values.values())) != 1:
-                    ok = False
-        yield f"five-way method agreement, n={n}", ok
-        ok_closed = True
-        for mu in odd_partitions_of(n):
-            base = characters.char_combinatorial((n,), mu)
-            if characters.char_one_row(mu) != base:
-                ok_closed = False
-            for k in range(n // 2 + 1, n):
-                if characters.char_two_row(k, mu) != characters.char_combinatorial(
-                    (k, n - k), mu
-                ):
-                    ok_closed = False
+        yield f"five-way method agreement, n={n}", next(_method_disagreements(n), None)
+        failure = next(_closed_form_disagreements(n), None)
+        yield f"closed forms agree on their domains, n={n}", failure
+
+
+def _symmetry_failures(n: int):
+    for mu in odd_partitions_of(n):
+        bound = n - nonzero_length(mu)
         for lam in strict_partitions_of(n):
-            if characters.char_column(lam) != characters.char_combinatorial(
-                lam, (1,) * n
-            ):
-                ok_closed = False
-            for k in range(1, n + 1, 2):
-                mu = (k,) + (1,) * (n - k)
-                if characters.char_hook_mu(lam, k) != characters.char_combinatorial(
-                    lam, mu
-                ):
-                    ok_closed = False
-        yield f"closed forms agree on their domains, n={n}", ok_closed
+            value = characters.char_value(lam, mu)
+            if not value.is_palindromic() or value.degree > bound:
+                yield f"{_cell(lam, mu)}: value {value.to_text()}, degree bound {bound}"
 
 
 def _suite_symmetry(n_max: int):
     for n in range(1, n_max + 1):
-        ok = True
-        for mu in odd_partitions_of(n):
-            bound = n - nonzero_length(mu)
-            for lam in strict_partitions_of(n):
-                value = characters.char_value(lam, mu)
-                if not value.is_palindromic() or value.degree > bound:
-                    ok = False
-        yield f"palindromic coefficients and degree bound, n={n}", ok
+        failure = next(_symmetry_failures(n), None)
+        yield f"palindromic coefficients and degree bound, n={n}", failure
+
+
+def _ortho_failures(n: int):
+    for mu in odd_partitions_of(n):
+        for nu in odd_partitions_of(n):
+            lhs = characters.orthogonality_sum(mu, nu)
+            mid = bitrace.sbtr(mu, nu)
+            rhs = bitrace.sbtr_powersum(mu, nu)
+            pair = f"mu={format_parts(mu)}, nu={format_parts(nu)}"
+            if not (lhs == mid == rhs):
+                yield (
+                    f"{pair}: character pairing gives {lhs.to_text()}, "
+                    f"sbtr gives {mid.to_text()}, sbtr_powersum gives {rhs.to_text()}"
+                )
+            expected = 2 ** nonzero_length(mu) * z_lambda(mu) if mu == nu else 0
+            if lhs.eval_at(1) != expected:
+                yield f"{pair}: {lhs.eval_at(1)} at q=1, expected {expected}"
+        regular, column = bitrace.regular_char(mu), bitrace.sbtr(mu, (1,) * n)
+        if regular != column:
+            yield (
+                f"mu={format_parts(mu)}: regular character {regular.to_text()}, "
+                f"sbtr against 1^{n} gives {column.to_text()}"
+            )
 
 
 def _suite_ortho(n_max: int):
     for n in range(1, n_max + 1):
-        ok = True
-        for mu in odd_partitions_of(n):
-            for nu in odd_partitions_of(n):
-                lhs = characters.orthogonality_sum(mu, nu)
-                mid = bitrace.sbtr(mu, nu)
-                rhs = bitrace.sbtr_powersum(mu, nu)
-                if not (lhs == mid == rhs):
-                    ok = False
-                at_one = lhs.eval_at(1)
-                expected = 2 ** nonzero_length(mu) * z_lambda(mu) if mu == nu else 0
-                if at_one != expected:
-                    ok = False
-            if bitrace.regular_char(mu) != bitrace.sbtr(mu, (1,) * n):
-                ok = False
-        yield f"bitrace orthogonality and regular character, n={n}", ok
+        failure = next(_ortho_failures(n), None)
+        yield f"bitrace orthogonality and regular character, n={n}", failure
 
 
 VERIFY_SUITES = {
@@ -272,9 +304,12 @@ def run_verify(n_max: int, suite: str, out=None) -> int:
     all_ok = True
     checked = 0
     for name in names:
-        for description, ok in VERIFY_SUITES[name](n_max):
-            print(("PASS" if ok else "FAIL") + f" [{name}] {description}", file=out)
-            all_ok = all_ok and ok
+        for description, failure in VERIFY_SUITES[name](n_max):
+            if failure is None:
+                print(f"PASS [{name}] {description}", file=out)
+            else:
+                print(f"FAIL [{name}] {description}: {failure}", file=out)
+            all_ok = all_ok and failure is None
             checked += 1
     if not checked:
         raise ValueError(f"no verify check runs for --suite {suite} --n-max {n_max}")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, prod
 
 from .partitions import (
     Parts,
     merge_partitions,
-    multiplicities,
     odd_partitions_of,
     z_lambda,
     zt_denominator,
@@ -140,52 +139,41 @@ def g_product(mu: Parts) -> GammaElement:
     return out
 
 
-def apply_partial(n: int, a: GammaElement) -> GammaElement:
-    """The derivation d/dp_n: multiplies by the multiplicity of n and removes
-    one part n from the key."""
-    out: dict[Parts, QPoly] = {}
-    for rho, coeff in a.terms.items():
-        m = rho.count(n)
-        if not m:
-            continue
-        idx = rho.index(n)
-        key = rho[:idx] + rho[idx + 1:]
-        value = coeff.scale(m)
-        out[key] = out.get(key, ZERO) + value
-    return GammaElement(out)
+def _sub_multisets(rho: Parts, k: int):
+    # (sigma, rho - sigma, prod_j C(m_j(rho), m_j(sigma))) over the
+    # sub-multisets sigma of rho with |sigma| = k
+    if not rho:
+        if k == 0:
+            yield (), (), 1
+        return
+    part, m = rho[0], rho.count(rho[0])
+    for j in range(min(m, k // part) + 1):
+        for sigma, rest, count in _sub_multisets(rho[m:], k - j * part):
+            yield (part,) * j + sigma, (part,) * (m - j) + rest, comb(m, j) * count
 
 
 @cache
-def _exp_coefficient(weight, sigma: Parts) -> QPoly:
-    # prod_i weight(sigma_i) / prod_j m_j!, the coefficient of the iterated
-    # derivative along sigma in the exponential series
-    denom = 1
-    for m in multiplicities(sigma).values():
-        denom *= factorial(m)
-    coeff = ONE
-    for part in sigma:
-        coeff = coeff * weight(part)
-    return coeff.scale(Fraction(1, denom))
+def _weight_product(weight, sigma: Parts) -> QPoly:
+    return prod(map(weight, sigma), start=ONE)
 
 
 def apply_exp_partials(k: int, a: GammaElement, weight) -> GammaElement:
     """Degree-k component of exp(sum over odd n of weight(n) d/dp_n z^{-n})
-    applied to a.  weight maps n to a QPoly; it must be a fixed function,
-    because the coefficient of each sigma is memoized per (weight, sigma)."""
+    applied to a.  Commuting derivations exponentiate to the translation
+    p_n -> p_n + weight(n) z^{-n}, as exp(c d/dx) f(x) = f(x + c), so p_rho
+    goes to the sum over the sub-multisets sigma of rho with |sigma| = k of
+    prod_j C(m_j(rho), m_j(sigma)) prod_{s in sigma} weight(s) p_{rho - sigma}.
+    weight must be a fixed function: products are memoized per (weight, sigma)."""
     if k == 0:
         return a
     if k < 0:
         raise ValueError("negative degree")
-    out = GammaElement.zero()
-    for sigma in odd_partitions_of(k):
-        partial = a
-        for part in sigma:
-            partial = apply_partial(part, partial)
-            if partial.is_zero():
-                break
-        if not partial.is_zero():
-            out = out + partial.scale(_exp_coefficient(weight, sigma))
-    return out
+    out: dict[Parts, QPoly] = {}
+    for rho, coeff in a.terms.items():
+        for sigma, rest, count in _sub_multisets(rho, k):
+            value = (coeff * _weight_product(weight, sigma)).scale(count)
+            out[rest] = out.get(rest, ZERO) + value
+    return GammaElement(out)
 
 
 def apply_g_star_pbasis(k: int, a: GammaElement) -> GammaElement:

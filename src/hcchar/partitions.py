@@ -141,49 +141,6 @@ def bounded_compositions(total: int, bounds: Parts) -> list[Parts]:
     return out
 
 
-def _short_parts(n: int, maxpart: int, max_len: int):
-    # partitions of n into at most max_len parts, each at most maxpart
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        if first * max_len < n:
-            return
-        for rest in _short_parts(n - first, first, max_len - 1):
-            yield (first,) + rest
-
-
-def bounded_composition_groups(total: int, bounds: Parts):
-    """The compositions of bounded_compositions(total, bounds), grouped by
-    the multiset of amounts that each part size of bounds gives up.
-
-    Yields (taken, left, count): the positive amounts tau_i and the positive
-    remainders bounds_i - tau_i, both sorted descending, and how many
-    compositions the group holds (per part size, a multinomial count of the
-    ways to place its amounts).  Different groups can share (taken, left).
-    """
-    sizes = sorted(multiplicities(bounds).items(), reverse=True)
-
-    def rec(g: int, remaining: int):
-        if g == len(sizes):
-            if remaining == 0:
-                yield (), (), 1
-            return
-        size, m = sizes[g]
-        for j in range(min(remaining, size * m), -1, -1):
-            for amounts in _short_parts(j, size, m):
-                left = tuple(size - a for a in amounts if a < size)
-                left += (size,) * (m - len(amounts))
-                count = factorial(m) // factorial(m - len(amounts))
-                for a in multiplicities(amounts).values():
-                    count //= factorial(a)
-                for taken_rest, left_rest, c in rec(g + 1, remaining - j):
-                    yield amounts + taken_rest, left + left_rest, count * c
-
-    for taken, left, count in rec(0, total):
-        yield sort_desc(taken), sort_desc(left), count
-
-
 def coarsenings(rho: Parts) -> tuple[Parts, ...]:
     """All compositions obtained by merging adjacent parts of rho."""
     if any(p < 1 for p in rho):

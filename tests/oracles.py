@@ -1,14 +1,19 @@
 """Test-only oracles: slow, definition-level computations that the library
 is checked against."""
 
+from fractions import Fraction
 from functools import cache
+from math import factorial
 
+from hcchar.gamma import GammaElement
 from hcchar.partitions import (
     Parts,
     SkewClassification,
     SkewKind,
     bounded_compositions,
     contains,
+    multiplicities,
+    odd_partitions_of,
     shifted_cells,
     sort_desc,
 )
@@ -173,3 +178,51 @@ def pieri_f_sums_by_composition(mu: Parts, i: int) -> dict[Parts, QPoly]:
         rest = sort_desc(m - t for m, t in zip(mu, tau))
         f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_coeff(tau)
     return f_by_rest
+
+
+def apply_partial(n: int, a: GammaElement) -> GammaElement:
+    """The derivation d/dp_n: multiplies by the multiplicity of n and removes
+    one part n from the key."""
+    out: dict[Parts, QPoly] = {}
+    for rho, coeff in a.terms.items():
+        m = rho.count(n)
+        if not m:
+            continue
+        idx = rho.index(n)
+        key = rho[:idx] + rho[idx + 1:]
+        value = coeff.scale(m)
+        out[key] = out.get(key, ZERO) + value
+    return GammaElement(out)
+
+
+@cache
+def _exp_coefficient(weight, sigma: Parts) -> QPoly:
+    # prod_i weight(sigma_i) / prod_j m_j!, the coefficient of the iterated
+    # derivative along sigma in the exponential series
+    denom = 1
+    for m in multiplicities(sigma).values():
+        denom *= factorial(m)
+    coeff = ONE
+    for part in sigma:
+        coeff = coeff * weight(part)
+    return coeff.scale(Fraction(1, denom))
+
+
+def apply_exp_partials_by_derivatives(k: int, a: GammaElement, weight) -> GammaElement:
+    """Reference for gamma.apply_exp_partials: the degree-k term of the
+    exponential series, one chain of derivatives d/dp_sigma per odd
+    partition sigma of k, divided by prod_j m_j(sigma)!."""
+    if k == 0:
+        return a
+    if k < 0:
+        raise ValueError("negative degree")
+    out = GammaElement.zero()
+    for sigma in odd_partitions_of(k):
+        partial = a
+        for part in sigma:
+            partial = apply_partial(part, partial)
+            if partial.is_zero():
+                break
+        if not partial.is_zero():
+            out = out + partial.scale(_exp_coefficient(weight, sigma))
+    return out

@@ -118,6 +118,64 @@ def test_verify_small(capsys):
     assert "PASS [tables]" in out and "PASS [ortho]" in out
 
 
+def _off_by_one_at_3_1(fn):
+    # fn with 1 added to its value at lambda = mu = (3, 1) only
+    def wrong(lam, mu, **kwargs):
+        value = fn(lam, mu, **kwargs)
+        return value + QPoly((1,)) if (tuple(lam), tuple(mu)) == ((3, 1), (3, 1)) else value
+
+    return wrong
+
+
+def test_verify_names_the_methods_that_disagree(capsys, monkeypatch):
+    methods = cli.characters.METHODS
+    monkeypatch.setitem(methods, "pfaffian", _off_by_one_at_3_1(methods["pfaffian"]))
+    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suite", "cross")
+    assert code == cli.EXIT_FAIL
+    lines = out.splitlines()
+    assert lines[:6] == [
+        f"PASS [cross] {check}, n={n}"
+        for n in (1, 2, 3)
+        for check in ("five-way method agreement", "closed forms agree on their domains")
+    ]
+    assert lines[6:] == [
+        "FAIL [cross] five-way method agreement, n=4: lambda=3,1, mu=3,1: "
+        "oracle gives 2*q^2 - 6*q + 2, recursive gives 2*q^2 - 6*q + 2, "
+        "pfaffian gives 2*q^2 - 6*q + 3, combinatorial gives 2*q^2 - 6*q + 2, "
+        "pieri gives 2*q^2 - 6*q + 2",
+        "PASS [cross] closed forms agree on their domains, n=4",
+        "verify: FAILURES detected",
+    ]
+
+
+def test_verify_names_the_failing_cell_of_every_suite(capsys, monkeypatch):
+    # a wrong auto value at one cell reaches the table, the symmetry check and
+    # the character side of the bitrace
+    wrong = _off_by_one_at_3_1(cli.characters.char_value)
+    monkeypatch.setattr(cli.characters, "char_value", wrong)
+    fails = {}
+    for suite in ("tables", "symmetry", "ortho"):
+        code, out, _ = run(capsys, "verify", "--n-max", "4", "--suite", suite)
+        assert code == cli.EXIT_FAIL, suite
+        fails[suite] = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails == {
+        "tables": [
+            "FAIL [tables] table n=4 matches the published table (4 cells): "
+            "lambda=3,1, mu=3,1: computed 2*q^2 - 6*q + 3, published 2*q^2 - 6*q + 2"
+        ],
+        "symmetry": [
+            "FAIL [symmetry] palindromic coefficients and degree bound, n=4: "
+            "lambda=3,1, mu=3,1: value 2*q^2 - 6*q + 3, degree bound 2"
+        ],
+        "ortho": [
+            "FAIL [ortho] bitrace orthogonality and regular character, n=4: "
+            "mu=3,1, nu=3,1: character pairing gives 12*q^4 - 40*q^3 + 72*q^2 - 52*q + 17, "
+            "sbtr gives 12*q^4 - 40*q^3 + 68*q^2 - 40*q + 12, "
+            "sbtr_powersum gives 12*q^4 - 40*q^3 + 68*q^2 - 40*q + 12"
+        ],
+    }
+
+
 def test_verify_without_checks_is_a_usage_error(capsys):
     for argv in (("--n-max", "0"), ("--n-max", "-3"), ("--suite", "tables", "--n-max", "2")):
         code, out, err = run(capsys, "verify", *argv)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from hcchar.gamma import (
     GammaElement,
+    apply_exp_partials,
     apply_g_star_pbasis,
     expand_g_n,
     expand_q_n,
@@ -11,8 +12,9 @@ from hcchar.gamma import (
     principal_specialize,
 )
 from hcchar.partitions import odd_partitions_of, strict_partitions_of
-from hcchar.qpoly import ONE, QPoly, ZERO, round_bracket
-from hcchar.vertex import Q_lambda_vacuum
+from hcchar.qpoly import ONE, QPoly, ZERO, q_pow_minus_one, round_bracket
+from hcchar.vertex import Q_lambda_vacuum, _annihilation_weight
+from oracles import apply_exp_partials_by_derivatives
 
 
 def p_elem(*rho):
@@ -112,6 +114,21 @@ def test_g_star_basics():
     r = apply_g_star_pbasis(1, p_elem(1))
     assert inner_product(r, one) == QPoly((-1, 1))
     assert inner_product(p_elem(1), expand_g_n(1)) == QPoly((-1, 1))
+
+
+def test_exp_partials_match_iterated_derivatives():
+    # the translation p_n -> p_n + weight(n) equals the exponential series of
+    # iterated derivatives, degree by degree, for both weights in use
+    checked = 0
+    for n in range(12):
+        for lam in strict_partitions_of(n):
+            a = Q_lambda_vacuum(lam)
+            for k in range(n + 2):
+                for weight in (_annihilation_weight, q_pow_minus_one):
+                    expect = apply_exp_partials_by_derivatives(k, a, weight)
+                    assert apply_exp_partials(k, a, weight) == expect, (lam, k)
+                    checked += 1
+    assert checked == 1106
 
 
 def _random_element(rng, degree):

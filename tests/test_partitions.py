@@ -5,7 +5,6 @@ from hcchar.characters import NotGdsError, wt_gds
 from hcchar.partitions import (
     SkewKind,
     a_statistic,
-    bounded_composition_groups,
     bounded_compositions,
     classify_skew,
     coarsenings,
@@ -19,7 +18,6 @@ from hcchar.partitions import (
     pieri_strips,
     shifted_cells,
     shifted_syt_count,
-    sort_desc,
     strict_partitions_of,
     strict_subpartitions,
     weight,
@@ -73,27 +71,6 @@ def test_compositions():
     assert set(bounded_compositions(2, (3, 3, 1))) == {
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1)
     }
-
-
-def test_composition_groups_count_every_composition_once():
-    # (2,0,0) and (0,2,0); (1,1,0); (1,0,1) and (0,1,1)
-    assert sorted(bounded_composition_groups(2, (3, 3, 1))) == [
-        ((1, 1), (2, 2, 1), 1),
-        ((1, 1), (3, 2), 2),
-        ((2,), (3, 1, 1), 2),
-    ]
-    for n in range(13):
-        for mu in partitions_of(n):
-            for i in range(n + 1):
-                expected: dict = {}
-                for tau in bounded_compositions(i, mu):
-                    key = (sort_desc(tau), sort_desc(m - t for m, t in zip(mu, tau)))
-                    expected[key] = expected.get(key, 0) + 1
-                grouped: dict = {}
-                for taken, left, count in bounded_composition_groups(i, mu):
-                    grouped[(taken, left)] = grouped.get((taken, left), 0) + count
-                assert grouped == expected, (mu, i)
-                assert sum(grouped.values()) == len(bounded_compositions(i, mu))
 
 
 def test_coarsenings():
