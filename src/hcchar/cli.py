@@ -2,8 +2,10 @@
 output formats, spin bitrace values, and self-verification suites.
 
 Set HCCHAR_CACHE to a writable directory to persist computed tables as JSON;
-cache entries are cross-checked between two methods before being written,
-stored atomically, and ignored when unreadable.  A cache that cannot be
+cache entries are cross-checked between two methods before being written
+and stored atomically, as a SHA-256 digest line followed by the body.  A file
+whose digest, schema, cell set or any cell read fails its check is ignored
+with one warning line on stderr, and the value is recomputed.  A cache that cannot be
 written is an I/O error (exit status 4); a cross-check that finds the two
 methods disagreeing names the first differing cell, writes nothing and
 fails (exit status 1).
@@ -12,10 +14,12 @@ fails (exit status 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
+from collections.abc import Mapping
 from fractions import Fraction
 
 from . import bitrace, characters, golden
@@ -71,46 +75,107 @@ def _table_to_payload(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> dict:
     return {"n": n, "cells": cells, "version": CACHE_VERSION}
 
 
-def _payload_to_table(payload: dict, n: int) -> dict[tuple[Parts, Parts], QPoly]:
-    if payload.get("version") != CACHE_VERSION or payload.get("n") != n:
-        raise ValueError("cache schema mismatch")
-    table = {}
-    for cell in payload["cells"]:
-        key = (tuple(cell["lambda"]), tuple(cell["mu"]))
-        table[key] = QPoly.from_json(cell["poly"])
-    expected = {
-        (lam, mu)
-        for mu in odd_partitions_of(n)
-        for lam in strict_partitions_of(n)
-    }
-    if set(table) != expected:
-        raise ValueError("cache cell set mismatch")
-    return table
+class CacheRejectedError(ValueError):
+    """A cache file failed a check on load; the message says which."""
 
 
-def load_cached_table(n: int) -> dict[tuple[Parts, Parts], QPoly] | None:
+def _warn_ignored(n: int, reason: Exception) -> None:
+    print(f"warning: ignoring cache file {_cache_path(n)}: {reason}", file=sys.stderr)
+
+
+@functools.cache
+def _expected_cells(n: int) -> frozenset[tuple[Parts, Parts]]:
+    return frozenset(
+        (lam, mu) for mu in odd_partitions_of(n) for lam in strict_partitions_of(n)
+    )
+
+
+class CachedTable(Mapping):
+    """Read-only view of a loaded cache file.  A cell becomes a ``QPoly``
+    only when it is read, and is checked before it is returned: integer
+    coefficients, palindromic, degree at most n - l(mu).  A cell that fails
+    or does not convert raises ``CacheRejectedError``."""
+
+    def __init__(self, n: int, cells: dict) -> None:
+        self._n = n
+        self._cells = cells
+
+    def __getitem__(self, key: tuple[Parts, Parts]) -> QPoly:
+        raw = self._cells[key]
+        lam, mu = key
+        try:
+            value = QPoly.from_json(raw)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise CacheRejectedError(f"{_cell(lam, mu)}: does not convert ({exc!r})") from exc
+        bound = self._n - nonzero_length(mu)
+        if not (value.has_integer_coeffs() and value.is_palindromic() and value.degree <= bound):
+            raise CacheRejectedError(
+                f"{_cell(lam, mu)}: value {value.to_text()} is not an integer "
+                f"palindromic polynomial of degree at most {bound}"
+            )
+        return value
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
+def _digest(body: bytes) -> bytes:
+    # imported here because hashlib loads OpenSSL, about 3.7 MB of resident
+    # memory that runs without a cache should not pay for
+    import hashlib
+
+    return hashlib.sha256(body).hexdigest().encode()
+
+
+def _parse_cache_file(n: int, data: bytes) -> CachedTable:
+    head, _, body = data.partition(b"\n")
+    if _digest(body) != head:
+        raise CacheRejectedError(
+            "content digest mismatch" if len(head) == 64 else "no content digest line"
+        )
+    payload = json.loads(body)
+    schema = (payload.get("version"), payload.get("n")) if isinstance(payload, dict) else None
+    if schema != (CACHE_VERSION, n):
+        raise CacheRejectedError("cache schema mismatch")
+    cells = payload.get("cells")
+    try:
+        index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in cells}
+    except (KeyError, TypeError) as exc:
+        raise CacheRejectedError(f"malformed cell list ({exc!r})") from exc
+    if len(index) != len(cells) or index.keys() != _expected_cells(n):
+        raise CacheRejectedError("cache cell set mismatch")
+    return CachedTable(n, index)
+
+
+def load_cached_table(n: int) -> CachedTable | None:
+    """The cached table of weight n, or None on a miss or when the file is
+    rejected (with one warning line on stderr)."""
     path = _cache_path(n)
     if path is None or not os.path.exists(path):
         return None
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return _payload_to_table(payload, n)
-    except Exception:
-        return None  # corrupt entries are recomputed
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return _parse_cache_file(n, data)
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or failing a check
+        _warn_ignored(n, exc)
+        return None
 
 
 def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> None:
     path = _cache_path(n)
     if path is None:
         return
-    payload = _table_to_payload(n, table)
+    body = render_table_json(n, table).encode()
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".chartable", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(_digest(body) + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,7 +186,10 @@ def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> None:
 def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]:
     cached = load_cached_table(n)
     if cached is not None:
-        return cached
+        try:
+            return dict(cached)
+        except CacheRejectedError as exc:
+            _warn_ignored(n, exc)
     table = characters.char_table(n, method=method)
     if _cache_path(n) is not None:
         # cached values must agree with a second, independent method
@@ -325,9 +393,13 @@ def _cmd_char(args) -> int:
     mu = parse_parts(args.mu)
     cached = None
     if args.method == "auto" and is_odd_partition(sort_desc(mu)):
-        table = load_cached_table(weight(lam))
+        n = weight(lam)
+        table = load_cached_table(n)
         if table is not None:
-            cached = table.get((tuple(lam), sort_desc(mu)))
+            try:
+                cached = table.get((tuple(lam), sort_desc(mu)))
+            except CacheRejectedError as exc:
+                _warn_ignored(n, exc)
     value = cached if cached is not None else characters.char_value(lam, mu, args.method)
     print(value.to_text())
     return EXIT_OK
@@ -370,6 +442,7 @@ def _cmd_verify(args) -> int:
     return run_verify(args.n_max, args.suite)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcchar",

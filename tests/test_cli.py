@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,10 @@ from hcchar.qpoly import QPoly
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -278,3 +282,109 @@ def test_cache_disabled_without_env(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "table", "--n", "3", "--format", "json")
     assert code == 0
     assert not list(tmp_path.iterdir())
+
+
+def _set_cell(text: str, lam: str, mu: str, coeffs: str) -> str:
+    # replaces the coefficient list of one cell in cache file text, any format
+    cell = f'"lambda": [{lam}], "mu": [{mu}], "poly": {{"var": "q", "coeffs": '
+    start = text.index(cell) + len(cell)
+    end = text.index("]]", start) + 2
+    return text[:start] + coeffs + text[end:]
+
+
+def test_edited_cache_cell_is_not_served(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    assert run(capsys, "table", "--n", "5")[0] == 0
+    cache_file = tmp_path / "chartable_n5.json"
+    cache_file.write_text(_set_cell(cache_file.read_text(), "5", "5", "[[999, 1]]"))
+    code, out, err = run(capsys, "char", "--lambda", "5", "--mu", "5")
+    assert code == 0 and out == "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2\n"
+    assert err == f"warning: ignoring cache file {cache_file}: content digest mismatch\n"
+
+
+def test_cache_file_without_digest_is_rewritten(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    cache_file = tmp_path / "chartable_n4.json"
+    cache_file.write_text(cli.render_table_json(4, golden_table(4)))
+    code, out, err = run(capsys, "table", "--n", "4", "--format", "json")
+    assert code == 0 and out == cli.render_table_json(4, golden_table(4))
+    assert err == f"warning: ignoring cache file {cache_file}: no content digest line\n"
+    digest, body = cache_file.read_text().split("\n", 1)
+    assert body == out and digest == hashlib.sha256(body.encode()).hexdigest()
+    assert run(capsys, "table", "--n", "4", "--format", "json") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "coeffs, reason",
+    [
+        ("[[1, 2], [1, 2]]", "is not an integer palindromic polynomial of degree at most 4"),
+        ("[[1, 1], [2, 1]]", "is not an integer palindromic polynomial of degree at most 4"),
+        ("[[1, 1], [0, 1], [0, 1], [0, 1], [0, 1], [1, 1]]", "of degree at most 4"),
+        ("[[1, 0]]", "does not convert"),
+    ],
+)
+def test_cached_cell_failing_its_invariants_is_recomputed(
+    tmp_path, capsys, monkeypatch, coeffs, reason
+):
+    # the digest matches, so only the per-cell checks can catch the bad value
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
+    cache_file = tmp_path / "chartable_n5.json"
+    body = _set_cell(cold, "5", "5", coeffs)
+    cache_file.write_text(hashlib.sha256(body.encode()).hexdigest() + "\n" + body)
+    warning = f"warning: ignoring cache file {cache_file}: lambda=5, mu=5: "
+
+    code, out, err = run(capsys, "char", "--lambda", "5", "--mu", "5")
+    assert code == 0 and out == "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2\n"
+    assert err.startswith(warning) and reason in err and err.count("\n") == 1
+
+    code, out, err = run(capsys, "table", "--n", "5", "--format", "json")
+    assert code == 0 and out == cold
+    assert err.startswith(warning) and err.count("\n") == 1
+    assert cache_file.read_text() == hashlib.sha256(cold.encode()).hexdigest() + "\n" + cold
+
+
+def test_cache_load_does_not_hide_programming_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    assert run(capsys, "table", "--n", "3")[0] == 0
+
+    def broken(n):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(cli, "_expected_cells", broken)
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        cli.main(["char", "--lambda", "3", "--mu", "3"])
+
+
+def test_char_cache_hit_converts_one_cell(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    assert run(capsys, "table", "--n", "6")[0] == 0
+    calls = []
+    from_json = QPoly.from_json
+
+    def counting(data):
+        calls.append(data)
+        return from_json(data)
+
+    monkeypatch.setattr(QPoly, "from_json", staticmethod(counting))
+    code, out, err = run(capsys, "char", "--lambda", "4,2", "--mu", "3,3")
+    assert (code, out, err) == (0, "4*q^4 - 16*q^3 + 28*q^2 - 16*q + 4\n", "")
+    assert len(calls) == 1
+
+
+def test_repeated_main_calls_match_fresh_calls(capsys):
+    calls = [
+        ("char", "--lambda", "4,2", "--mu", "3,3"),
+        ("char", "--lambda", "3", "--mu", "3", "--method", "bogus"),
+        ("char", "--lambda", "3,1", "--mu", "3"),
+        ("table", "--n", "3", "--format", "csv"),
+        ("char", "--lambda", "4,2", "--mu", "3,3"),
+    ]
+    in_turn = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert in_turn == fresh
+    assert [code for code, _, _ in in_turn] == [0, 2, 2, 0, 0]
