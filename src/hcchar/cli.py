@@ -3,12 +3,12 @@ output formats, spin bitrace values, and self-verification suites.
 
 Set HCCHAR_CACHE to a writable directory to persist computed tables as JSON;
 cache entries are cross-checked between two methods before being written
-and stored atomically, as a SHA-256 digest line followed by the body.  A file
-whose digest, schema, cell set or any cell read fails its check is ignored
-with one warning line on stderr, and the value is recomputed.  A cache that cannot be
-written is an I/O error (exit status 4); a cross-check that finds the two
-methods disagreeing names the first differing cell, writes nothing and
-fails (exit status 1).
+and stored atomically, as a SHA-256 digest line followed by the body.  A
+file whose digest, schema, cell set or any cell read fails its check is
+ignored with one warning line on stderr, and the value is recomputed.  A
+cache that cannot be written is an I/O error (exit status 4); a cross-check
+that finds the two methods disagreeing names the first differing cell,
+writes nothing and fails (exit status 1).
 """
 
 from __future__ import annotations

@@ -305,9 +305,10 @@ def test_edited_cache_cell_is_not_served(tmp_path, capsys, monkeypatch):
 def test_cache_file_without_digest_is_rewritten(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     cache_file = tmp_path / "chartable_n4.json"
-    cache_file.write_text(cli.render_table_json(4, golden_table(4)))
+    old_format = cli.render_table_json(4, golden_table(4))
+    cache_file.write_text(old_format)
     code, out, err = run(capsys, "table", "--n", "4", "--format", "json")
-    assert code == 0 and out == cli.render_table_json(4, golden_table(4))
+    assert code == 0 and out == old_format
     assert err == f"warning: ignoring cache file {cache_file}: no content digest line\n"
     digest, body = cache_file.read_text().split("\n", 1)
     assert body == out and digest == hashlib.sha256(body.encode()).hexdigest()
