@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Mapping
 from fractions import Fraction
 
 from . import bitrace, characters, golden
@@ -61,65 +60,11 @@ def _cache_path(n: int) -> str | None:
     return os.path.join(root, f"chartable_n{n}.json")
 
 
-def _table_to_payload(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> dict:
-    cells = []
-    for mu in odd_partitions_of(n):
-        for lam in strict_partitions_of(n):
-            cells.append(
-                {
-                    "lambda": list(lam),
-                    "mu": list(mu),
-                    "poly": table[(lam, mu)].to_json(),
-                }
-            )
-    return {"n": n, "cells": cells, "version": CACHE_VERSION}
-
-
-class CacheRejectedError(ValueError):
-    """A cache file failed a check on load; the message says which."""
-
-
-def _warn_ignored(n: int, reason: Exception) -> None:
-    print(f"warning: ignoring cache file {_cache_path(n)}: {reason}", file=sys.stderr)
-
-
 @functools.cache
 def _expected_cells(n: int) -> frozenset[tuple[Parts, Parts]]:
     return frozenset(
         (lam, mu) for mu in odd_partitions_of(n) for lam in strict_partitions_of(n)
     )
-
-
-class CachedTable(Mapping):
-    """Read-only view of a loaded cache file.  A cell becomes a ``QPoly``
-    only when it is read, and is checked before it is returned: integer
-    coefficients, palindromic, degree at most n - l(mu).  A cell that fails
-    or does not convert raises ``CacheRejectedError``."""
-
-    def __init__(self, n: int, cells: dict) -> None:
-        self._n = n
-        self._cells = cells
-
-    def __getitem__(self, key: tuple[Parts, Parts]) -> QPoly:
-        raw = self._cells[key]
-        lam, mu = key
-        try:
-            value = QPoly.from_json(raw)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise CacheRejectedError(f"{_cell(lam, mu)}: does not convert ({exc!r})") from exc
-        bound = self._n - nonzero_length(mu)
-        if not (value.has_integer_coeffs() and value.is_palindromic() and value.degree <= bound):
-            raise CacheRejectedError(
-                f"{_cell(lam, mu)}: value {value.to_text()} is not an integer "
-                f"palindromic polynomial of degree at most {bound}"
-            )
-        return value
-
-    def __iter__(self):
-        return iter(self._cells)
-
-    def __len__(self) -> int:
-        return len(self._cells)
 
 
 def _digest(body: bytes) -> bytes:
@@ -130,38 +75,63 @@ def _digest(body: bytes) -> bytes:
     return hashlib.sha256(body).hexdigest().encode()
 
 
-def _parse_cache_file(n: int, data: bytes) -> CachedTable:
-    head, _, body = data.partition(b"\n")
-    if _digest(body) != head:
-        raise CacheRejectedError(
-            "content digest mismatch" if len(head) == 64 else "no content digest line"
-        )
-    payload = json.loads(body)
-    schema = (payload.get("version"), payload.get("n")) if isinstance(payload, dict) else None
-    if schema != (CACHE_VERSION, n):
-        raise CacheRejectedError("cache schema mismatch")
-    cells = payload.get("cells")
+def _checked_cell(n: int, lam: Parts, mu: Parts, raw) -> QPoly:
+    """A cached cell as a ``QPoly``: integer coefficients, palindromic,
+    degree at most n - l(mu), and equal to the one-row or one-column
+    closed form where one applies; a ``ValueError`` otherwise."""
     try:
-        index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in cells}
-    except (KeyError, TypeError) as exc:
-        raise CacheRejectedError(f"malformed cell list ({exc!r})") from exc
-    if len(index) != len(cells) or index.keys() != _expected_cells(n):
-        raise CacheRejectedError("cache cell set mismatch")
-    return CachedTable(n, index)
+        value = QPoly.from_json(raw)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{_cell(lam, mu)}: does not convert ({exc!r})") from exc
+    bound = n - nonzero_length(mu)
+    if not (value.has_integer_coeffs() and value.is_palindromic() and value.degree <= bound):
+        raise ValueError(
+            f"{_cell(lam, mu)}: value {value.to_text()} is not an integer "
+            f"palindromic polynomial of degree at most {bound}"
+        )
+    if lam == (n,):
+        form, expected = "one-row", characters.char_one_row(mu)
+    elif mu == (1,) * n:
+        form, expected = "one-column", characters.char_column(lam)
+    else:
+        return value
+    if value != expected:
+        raise ValueError(
+            f"{_cell(lam, mu)}: value {value.to_text()}, {form} form gives {expected.to_text()}"
+        )
+    return value
 
 
-def load_cached_table(n: int) -> CachedTable | None:
-    """The cached table of weight n, or None on a miss or when the file is
-    rejected (with one warning line on stderr)."""
+def load_cached_table(n: int, cells=None) -> dict[tuple[Parts, Parts], QPoly] | None:
+    """The requested (lambda, mu) cells of the cached table of weight n, every
+    cell when ``cells`` is None, each converted and checked.  None on a miss
+    or when the file or a requested cell is rejected, with one warning line
+    on stderr.  A requested key that is not a cell of the table is absent."""
     path = _cache_path(n)
     if path is None or not os.path.exists(path):
         return None
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
-        return _parse_cache_file(n, data)
+            head, _, body = handle.read().partition(b"\n")
+        if _digest(body) != head:
+            raise ValueError(
+                "content digest mismatch" if len(head) == 64 else "no content digest line"
+            )
+        payload = json.loads(body)
+        schema = (payload.get("version"), payload.get("n")) if isinstance(payload, dict) else None
+        if schema != (CACHE_VERSION, n):
+            raise ValueError("cache schema mismatch")
+        raw = payload.get("cells")
+        try:
+            index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in raw}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed cell list ({exc!r})") from exc
+        if len(index) != len(raw) or index.keys() != _expected_cells(n):
+            raise ValueError("cache cell set mismatch")
+        keys = index if cells is None else [key for key in cells if key in index]
+        return {key: _checked_cell(n, *key, index[key]) for key in keys}
     except (OSError, ValueError) as exc:  # unreadable, undecodable or failing a check
-        _warn_ignored(n, exc)
+        print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
         return None
 
 
@@ -186,10 +156,7 @@ def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> None:
 def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]:
     cached = load_cached_table(n)
     if cached is not None:
-        try:
-            return dict(cached)
-        except CacheRejectedError as exc:
-            _warn_ignored(n, exc)
+        return cached
     table = characters.char_table(n, method=method)
     if _cache_path(n) is not None:
         # cached values must agree with a second, independent method
@@ -211,7 +178,12 @@ def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], 
 # table rendering
 
 def render_table_json(n: int, table) -> str:
-    return json.dumps(_table_to_payload(n, table))
+    cells = [
+        {"lambda": list(lam), "mu": list(mu), "poly": table[(lam, mu)].to_json()}
+        for mu in odd_partitions_of(n)
+        for lam in strict_partitions_of(n)
+    ]
+    return json.dumps({"n": n, "cells": cells, "version": CACHE_VERSION})
 
 
 def render_table_csv(n: int, table) -> str:
@@ -391,15 +363,10 @@ def run_verify(n_max: int, suite: str, out=None) -> int:
 def _cmd_char(args) -> int:
     lam = parse_parts(args.lam)
     mu = parse_parts(args.mu)
+    key = (lam, sort_desc(mu))
     cached = None
-    if args.method == "auto" and is_odd_partition(sort_desc(mu)):
-        n = weight(lam)
-        table = load_cached_table(n)
-        if table is not None:
-            try:
-                cached = table.get((tuple(lam), sort_desc(mu)))
-            except CacheRejectedError as exc:
-                _warn_ignored(n, exc)
+    if args.method == "auto" and is_odd_partition(key[1]):
+        cached = (load_cached_table(weight(lam), [key]) or {}).get(key)
     value = cached if cached is not None else characters.char_value(lam, mu, args.method)
     print(value.to_text())
     return EXIT_OK

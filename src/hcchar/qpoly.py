@@ -154,10 +154,10 @@ class QPoly:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
 
-    def to_json(self, var: str = "q") -> dict:
+    def to_json(self) -> dict:
         """JSON form: coefficients as [num, den] pairs ascending by exponent."""
         return {
-            "var": var,
+            "var": "q",
             "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
         }
 

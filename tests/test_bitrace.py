@@ -1,6 +1,7 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcchar import bitrace
 from hcchar.bitrace import (
@@ -83,6 +84,19 @@ def test_sbtr_powersum_matches_peeling_on_all_partitions():
         for mu in ps:
             for nu in ps:
                 assert sbtr_powersum(mu, nu) == sbtr(mu, nu), (mu, nu)
+
+
+@st.composite
+def _odd_pairs(draw):
+    ops = odd_partitions_of(draw(st.integers(10, 12)))
+    return draw(st.sampled_from(ops)), draw(st.sampled_from(ops))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_odd_pairs())
+def test_sbtr_powersum_matches_peeling_on_random_odd_pairs(pair):
+    # the alpha peel against the power-sum route above the exhaustive range
+    assert sbtr(*pair) == sbtr_powersum(*pair), pair
 
 
 def test_q_equals_one_orthogonality():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +346,73 @@ def test_cached_cell_failing_its_invariants_is_recomputed(
     assert code == 0 and out == cold
     assert err.startswith(warning) and err.count("\n") == 1
     assert cache_file.read_text() == hashlib.sha256(cold.encode()).hexdigest() + "\n" + cold
+
+
+def _write_with_digest(cache_file, body: str) -> None:
+    cache_file.write_text(hashlib.sha256(body.encode()).hexdigest() + "\n" + body)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, form, value",
+    [
+        ("5", "5", "one-row", "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2"),
+        ("4,1", "1,1,1,1,1", "one-column", "48"),
+    ],
+)
+def test_cached_cell_differing_from_its_closed_form_is_recomputed(
+    tmp_path, capsys, monkeypatch, lam, mu, form, value
+):
+    # the constant 2 passes the integer, palindromic and degree checks
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
+    cache_file = tmp_path / "chartable_n5.json"
+    as_json = lam.replace(",", ", "), mu.replace(",", ", ")
+    _write_with_digest(cache_file, _set_cell(cold, *as_json, "[[2, 1]]"))
+    warning = f"warning: ignoring cache file {cache_file}: lambda={lam}, mu={mu}: "
+
+    code, out, err = run(capsys, "char", "--lambda", lam, "--mu", mu)
+    assert (code, out) == (0, value + "\n")
+    assert err == warning + f"value 2, {form} form gives {value}\n"
+
+    code, out, err = run(capsys, "table", "--n", "5", "--format", "json")
+    assert code == 0 and out == cold
+    assert err.startswith(warning) and err.count("\n") == 1
+    assert cache_file.read_text() == hashlib.sha256(cold.encode()).hexdigest() + "\n" + cold
+
+
+def test_load_rejects_the_whole_table_for_one_bad_cell(tmp_path, capsys, monkeypatch):
+    # a rejected cell makes the load a miss, which is what a caller counts
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
+    cache_file = tmp_path / "chartable_n5.json"
+    _write_with_digest(cache_file, _set_cell(cold, "4, 1", "3, 1, 1", "[[1, 2]]"))
+    assert cli.load_cached_table(5) is None
+    good = ((5,), (5,))
+    assert cli.load_cached_table(5, [good]) == {good: golden_table(5)[good]}
+    assert capsys.readouterr().err.count("warning: ignoring cache file") == 1
+
+
+def test_char_outside_the_table_misses_the_warm_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    assert run(capsys, "table", "--n", "4")[0] == 0
+    assert cli.load_cached_table(4, [((2, 2), (3, 1))]) == {}
+    code, out, err = run(capsys, "char", "--lambda", "2,2", "--mu", "3,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "warning" not in err
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, about 3.7 MB of resident memory; only a cache
+    # read or write may import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "import hcchar.cli; print('hashlib' in sys.modules)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert child.stdout == "False\n"
 
 
 def test_cache_load_does_not_hide_programming_errors(tmp_path, capsys, monkeypatch):
