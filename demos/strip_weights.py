@@ -7,11 +7,18 @@ coarsening sums, and its agreement with the Pfaffian value of the same skew.
 """
 
 from hcchar.characters import sbs_principal, wt_gds
-from hcchar.partitions import classify_skew, shifted_cells
+from hcchar.partitions import classify_skew
 from hcchar.pfaffian import skew_Q_principal
 
 LAM = (15, 14, 10, 8, 7, 6, 5, 3, 1)
 MU = (13, 11, 8, 6, 5, 4, 2, 1)
+
+
+def shifted_cells(lam):
+    """Cells of the shifted diagram: row i covers columns i .. i+lam_i-1."""
+    return frozenset(
+        (i, j) for i, p in enumerate(lam, start=1) for j in range(i, i + p)
+    )
 
 
 def draw(lam, mu) -> None:

@@ -9,7 +9,6 @@ from .bitrace import (
     T_mu_nu,
     WeightMismatchError,
     alpha,
-    alpha_direct_sum,
     regular_char,
     sbtr,
     sbtr_powersum,
@@ -35,24 +34,21 @@ from .characters import (
 )
 from .gamma import (
     GammaElement,
-    apply_g_star_pbasis,
     expand_g_n,
     expand_q_n,
     inner_product,
-    principal_specialize,
 )
 from .partitions import (
     SkewClassification,
     SkewKind,
     classify_skew,
     odd_partitions_of,
-    partitions_of,
     pieri_strips,
     shifted_syt_count,
     strict_partitions_of,
 )
 from .pfaffian import AntisymMatrix, build_skew_matrix, pfaffian, skew_Q_principal
-from .qpoly import NonDivisibleError, QPoly, round_bracket, square_bracket
-from .vertex import Q_lambda_vacuum, apply_Q_m, f_coeff, f_pair, straighten
+from .qpoly import NonDivisibleError, QPoly, round_bracket
+from .vertex import Q_lambda_vacuum, apply_Q_m, f_pair, straighten
 
 __version__ = "0.1.0"

@@ -3,13 +3,13 @@
 The central quantity is the pairing T(mu, nu) of products of deformed
 one-row generators; the bitrace divides it by (q-1)^{l(mu)+l(nu)}.  It is
 computed three ways: a peeling recursion driven by the alpha polynomials,
-the inner product of the two generator products in the power-sum ring, and
-(in the characters module) the sum of products of character values.
+which come from their generating function D(-z)/D(z), the inner product of
+the two generator products in the power-sum ring, and (in the characters
+module) the sum of products of character values.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -19,65 +19,36 @@ from .partitions import (
     bounded_compositions,
     is_odd_partition,
     nonzero_length,
-    odd_partitions_of,
     sort_desc,
     weight,
-    z_lambda,
 )
-from .qpoly import NonDivisibleError, ONE, QPoly, ZERO, exact_div_qminus1_pow, q_pow_minus_one
+from .qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow
 
 
 class WeightMismatchError(ValueError):
     """The two arguments have different weights."""
 
 
+# D(z) = (1 - t^2 z)(1 + t z)^2 (1 - z), one coefficient per power of z
+_D = (
+    ONE,
+    QPoly((-1, 2, -1)),
+    QPoly((0, -2, 2, -2)),
+    QPoly((0, 0, -1, 2, -1)),
+    QPoly((0, 0, 0, 0, 1)),
+)
+
+
 @cache
 def alpha(n: int) -> QPoly:
-    """The alpha polynomials by their four-term recursion.
-
-    Seeds: a_0 = 1, a_1 = 2(t-1)^2, a_2 = (t-1)^2 a_1,
-    a_3 = (t-1)^2 a_2 + 2t(t^2-t+1) a_1 + 2 t^2 (t-1)^2 a_0,
-    a_4 = (t-1)^2 a_3 + 2t(t^2-t+1) a_2 + t^2 (t-1)^2 a_1; from n >= 5 the
-    recursion gains the trailing term -t^4 a_{n-4}.
-    """
+    """The alpha polynomials, from their generating function
+    sum_n alpha_n z^n = D(-z)/D(z): alpha_n = (-1)^n D_n minus the sum over
+    j = 1..4 of D_j alpha_{n-j}, with D_n = 0 for n > 4."""
     if n < 0:
         return ZERO
-    if n == 0:
-        return ONE
-    sq = QPoly((1, -2, 1))  # (t-1)^2
-    if n == 1:
-        return sq.scale(2)
-    if n == 2:
-        return sq * alpha(1)
-    mid = QPoly((0, 2, -2, 2))  # 2t(t^2-t+1)
-    tsq = QPoly((0, 0, 1))
-    if n == 3:
-        return sq * alpha(2) + mid * alpha(1) + (tsq * sq).scale(2)
-    if n == 4:
-        return sq * alpha(3) + mid * alpha(2) + tsq * sq * alpha(1)
-    return (
-        sq * alpha(n - 1)
-        + mid * alpha(n - 2)
-        + tsq * sq * alpha(n - 3)
-        - QPoly((0, 0, 0, 0, 1)) * alpha(n - 4)
-    )
-
-
-def alpha_direct_sum(n: int) -> QPoly:
-    """Independent route: sum over odd partitions rho of n of
-    2^{l(rho)} prod_i (t^{rho_i} - 1)^2 / z_rho."""
-    if n < 0:
-        return ZERO
-    if n == 0:
-        return ONE
-    out = ZERO
-    for rho in odd_partitions_of(n):
-        term = ONE
-        for part in rho:
-            term = term * q_pow_minus_one(part) ** 2
-        out = out + term.scale(Fraction(2 ** len(rho), z_lambda(rho)))
-    if not out.has_integer_coeffs():
-        raise NonDivisibleError(f"alpha_{n} direct sum not integral: {out.to_text()}")
+    out = _D[n].scale((-1) ** n) if n < len(_D) else ZERO
+    for j in range(1, len(_D)):
+        out = out - _D[j] * alpha(n - j)
     return out
 
 

@@ -6,6 +6,10 @@ recursion on the Q-basis, a Pfaffian expansion, a strip-weight recursion,
 and a Pieri-rule recursion on the indexing partition.  Closed forms cover
 one-row, two-row, one-column and hook class types.
 
+The Q-basis lowering step and the Pieri recursion take their sums of
+f-products over compositions from vertex.composition_sums; the value of a
+shifted border strip is a recursion on the top block of its coarsenings.
+
 All internal recursions work with the unnormalized pairing G(lam, mu);
 the final value ties the normalization 2^{-eps(lam)} (q-1)^{-l(mu)} once
 at the boundary and asserts integer coefficients.
@@ -21,7 +25,6 @@ from .partitions import (
     Parts,
     SkewKind,
     classify_skew,
-    coarsenings,
     delta,
     ensure_partition,
     ensure_strict_partition,
@@ -45,7 +48,7 @@ from .qpoly import (
     exact_div_qminus1_pow,
     round_bracket,
 )
-from .vertex import Q_lambda_vacuum, f_coeff, f_single, qbasis_expansion
+from .vertex import Q_lambda_vacuum, composition_sums, f_single, qbasis_expansion
 
 
 class NotGdsError(ValueError):
@@ -59,17 +62,20 @@ class BadShapeError(ValueError):
 # ---------------------------------------------------------------------------
 # strip weights
 
+@cache
 def sbs_principal(rows: Parts) -> QPoly:
     """Two-variable value of a shifted border strip with the given per-row
-    cell counts (top row first): the signed sum of f over coarsenings."""
+    cell counts (top row first): the sum over coarsenings tau of rows of
+    (-1)^{l(rows) - l(tau)} f_tau, by recursion on the top block of tau,
+    which merges the first j + 1 rows."""
     if any(r < 1 for r in rows):
         raise ValueError("row counts must be positive")
+    if not rows:
+        return ONE
     out = ZERO
-    for tau in coarsenings(rows):
-        term = f_coeff(tau)
-        if (len(rows) - len(tau)) % 2:
-            term = -term
-        out = out + term
+    for j in range(len(rows)):
+        term = f_single(sum(rows[: j + 1])) * sbs_principal(rows[j + 1:])
+        out = out + term.scale((-1) ** j)
     return out
 
 
@@ -177,21 +183,10 @@ def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
     return _finalize(_g_peel(gds_expansion, lam, mu), lam, mu)
 
 
-@cache
-def _pieri_f_sums(mu: Parts, i: int) -> tuple[tuple[Parts, QPoly], ...]:
-    """The sum of f_tau over the compositions tau of i bounded by mu, split
-    by the partition rest = mu - tau that each leaves (each rest shares one
-    inner strip sum in the Pieri recursion).  Built part by part: tau_1 = t
-    gives f_t times the sums of (mu[1:], i - t), with a nonzero mu_1 - t
-    merged into their rests; equal suffixes of mu share the memo."""
-    if not mu:
-        return (((), ONE),) if i == 0 else ()
-    f_by_rest: dict[Parts, QPoly] = {}
-    for t in range(min(mu[0], i) + 1):
-        for rest, f_sum in _pieri_f_sums(mu[1:], i - t):
-            rest = sort_desc((mu[0] - t,) + rest)
-            f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_single(t) * f_sum
-    return tuple(f_by_rest.items())
+def _merge_part(m: int, rest: Parts) -> list[tuple[int, Parts]]:
+    # mu_1 - tau_1 joins the partition the later parts leave; a negative
+    # difference is a tau_1 above its bound mu_1
+    return [(1, sort_desc((m,) + rest))] if m >= 0 else []
 
 
 @cache
@@ -206,7 +201,7 @@ def _g_pieri(lam: Parts, mu: Parts) -> QPoly:
         if not strips:
             continue
         sign = (-1) ** (i - lam[0])
-        for rest, f_sum in _pieri_f_sums(mu, i):
+        for rest, f_sum in composition_sums(_merge_part, mu, i):
             inner = ZERO
             for xi, a in strips:
                 inner = inner + _g_pieri(xi, rest).scale(2**a)
@@ -338,7 +333,7 @@ def char_table(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]
     return table
 
 
-def orthogonality_sum(mu: Parts, nu: Parts, method: str = "auto") -> QPoly:
+def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:
     """Sum over strict lam of 2^{-delta(lam)} times the product of character
     values at mu and nu; the character-side form of the spin bitrace."""
     mu, nu = sort_desc(mu), sort_desc(nu)
@@ -347,7 +342,7 @@ def orthogonality_sum(mu: Parts, nu: Parts, method: str = "auto") -> QPoly:
     n = weight(mu)
     out = ZERO
     for lam in strict_partitions_of(n):
-        term = char_value(lam, mu, method=method) * char_value(lam, nu, method=method)
+        term = char_value(lam, mu) * char_value(lam, nu)
         out = out + term.scale(Fraction(1, 2 ** delta(lam)))
     if not out.has_integer_coeffs():
         raise NonDivisibleError("orthogonality sum not integral")

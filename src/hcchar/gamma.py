@@ -19,7 +19,7 @@ from .partitions import (
     z_lambda,
     zt_denominator,
 )
-from .qpoly import ONE, QPoly, ZERO, q_pow_minus_one
+from .qpoly import ONE, QPoly, ZERO
 
 
 class GammaElement:
@@ -174,19 +174,3 @@ def apply_exp_partials(k: int, a: GammaElement, weight) -> GammaElement:
             value = (coeff * _weight_product(weight, sigma)).scale(count)
             out[rest] = out.get(rest, ZERO) + value
     return GammaElement(out)
-
-
-def apply_g_star_pbasis(k: int, a: GammaElement) -> GammaElement:
-    """Degree-k component of exp(sum over odd n of (t^n - 1) d/dp_n z^{-n})."""
-    return apply_exp_partials(k, a, q_pow_minus_one)
-
-
-def principal_specialize(a: GammaElement) -> QPoly:
-    """Substitute p_r -> t^r - 1 for every odd r."""
-    out = ZERO
-    for rho, coeff in a.terms.items():
-        factor = ONE
-        for part in rho:
-            factor = factor * q_pow_minus_one(part)
-        out = out + coeff * factor
-    return out

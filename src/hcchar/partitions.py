@@ -115,11 +115,6 @@ def _descending_parts(n: int, maxpart: int, strict: bool, odd: bool):
 
 
 @cache
-def partitions_of(n: int) -> tuple[Parts, ...]:
-    return tuple(_descending_parts(n, n, strict=False, odd=False))
-
-
-@cache
 def strict_partitions_of(n: int) -> tuple[Parts, ...]:
     return tuple(_descending_parts(n, n, strict=True, odd=False))
 
@@ -141,34 +136,8 @@ def bounded_compositions(total: int, bounds: Parts) -> list[Parts]:
     return out
 
 
-def coarsenings(rho: Parts) -> tuple[Parts, ...]:
-    """All compositions obtained by merging adjacent parts of rho."""
-    if any(p < 1 for p in rho):
-        raise ValueError("coarsenings need positive parts")
-    if not rho:
-        return ((),)
-    out = []
-    gaps = len(rho) - 1
-    for mask in range(1 << gaps):
-        merged = [rho[0]]
-        for i in range(gaps):
-            if mask >> i & 1:
-                merged[-1] += rho[i + 1]
-            else:
-                merged.append(rho[i + 1])
-        out.append(tuple(merged))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # shifted diagrams and skew classification
-
-def shifted_cells(lam: Parts) -> frozenset[tuple[int, int]]:
-    """Cells of the shifted diagram: row i covers columns i .. i+lam_i-1."""
-    return frozenset(
-        (i, j) for i, p in enumerate(lam, start=1) for j in range(i, i + p)
-    )
-
 
 def contains(lam: Parts, mu: Parts) -> bool:
     """Entrywise containment mu_i <= lam_i."""

@@ -204,11 +204,3 @@ def round_bracket(k: int) -> QPoly:
     if k == 0:
         return ONE
     return QPoly(tuple((-1) ** (k - 1 - i) for i in range(k)))
-
-
-@cache
-def square_bracket(k: int) -> QPoly:
-    """[k]_t = t^{k-1} + ... + t + 1 for k >= 1."""
-    if k < 1:
-        raise ValueError("square bracket needs k >= 1")
-    return QPoly((1,) * k)

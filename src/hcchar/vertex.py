@@ -1,13 +1,14 @@
 """Vertex-operator actions: the creation operators on the power-sum ring,
-Clifford straightening of operator words, and the lowering action on the
-Q-basis together with its f-coefficients."""
+Clifford straightening of operator words, the f-coefficients, and the lowering
+action on the Q-basis.  composition_sums is the one sum of f-products over
+compositions: the lowering step and the Pieri recursion both read it."""
 
 from __future__ import annotations
 
 from functools import cache
 
 from .gamma import GammaElement, apply_exp_partials, expand_q_n
-from .partitions import Parts, bounded_compositions, sort_desc
+from .partitions import Parts
 from .qpoly import ONE, QPoly, ZERO, round_bracket
 
 
@@ -96,21 +97,21 @@ def f_single(i: int) -> QPoly:
 
 
 @cache
-def _f_product(parts: Parts) -> QPoly:
-    # parts: positive and sorted, so each multiset costs one multiply
+def composition_sums(merge, parts: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
+    """The sum of f_tau over the compositions tau of k with one entry per
+    part, grouped by key.  Built from the last part forward: tau_1 = t gives
+    f_t times each sum of (parts[1:], k - t), and merge(parts[0] - t, rest)
+    turns that sum's key into [(coefficient, key), ...].  Zero sums are
+    dropped.  merge must be a fixed function: the sums are memoized per
+    (merge, parts, k), so equal suffixes of parts share them."""
     if not parts:
-        return ONE
-    return f_single(parts[0]) * _f_product(parts[1:])
-
-
-@cache
-def f_coeff(tau: Parts) -> QPoly:
-    """Product of f over the parts of a composition; zeros contribute 1 and a
-    negative part makes it zero.  The product depends only on the multiset of
-    nonzero parts, so every reordering of tau shares one computed product."""
-    if any(part < 0 for part in tau):
-        return ZERO
-    return _f_product(sort_desc(tau))
+        return (((), ONE),) if k == 0 else ()
+    sums: dict[Parts, QPoly] = {}
+    for t in range(k + 1):
+        for rest, value in composition_sums(merge, parts[1:], k - t):
+            for c, key in merge(parts[0] - t, rest):
+                sums[key] = sums.get(key, ZERO) + (f_single(t) * value).scale(c)
+    return tuple((key, value) for key, value in sums.items() if not value.is_zero())
 
 
 @cache
@@ -130,24 +131,10 @@ def f_pair(m: int, n: int) -> QPoly:
 # ---------------------------------------------------------------------------
 # lowering action on the Q-basis
 
-@cache
 def qbasis_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     """One lowering step on Q_lam.1: the nonzero coefficients of Q_nu.1 in
     the sum of f_tau Q_{lam - tau}.1 over all compositions tau of k with
     l(lam) slots.  Parts of lam - tau may be negative; straightening turns
-    Q_m Q_{-m} into a vacuum term.
-
-    Every lam - tau is straightened on its own.  The integer straightening
-    coefficients are summed per (nu, multiset of tau) first, so each nu
-    takes one scaled f-product per distinct multiset, not one per tau."""
-    counts: dict[tuple[Parts, Parts], int] = {}
-    for tau in bounded_compositions(k, (k,) * len(lam)):
-        parts = sort_desc(tau)
-        diff = tuple(l - t for l, t in zip(lam, tau))
-        for nu, c in straighten(diff).items():
-            counts[nu, parts] = counts.get((nu, parts), 0) + c
-    out: dict[Parts, QPoly] = {}
-    for (nu, parts), c in counts.items():
-        if c:
-            out[nu] = out.get(nu, ZERO) + _f_product(parts).scale(c)
-    return tuple((nu, value) for nu, value in out.items() if not value.is_zero())
+    Q_m Q_{-m} into a vacuum term.  Straightening is linear, so each part of
+    lam is prepended to the straightened sums of the parts after it."""
+    return composition_sums(_prepend, lam, k)

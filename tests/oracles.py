@@ -1,24 +1,130 @@
 """Test-only oracles: slow, definition-level computations that the library
-is checked against."""
+is checked against, and the helpers that only tests use."""
 
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from hcchar.gamma import GammaElement
+from hcchar.gamma import GammaElement, apply_exp_partials
 from hcchar.partitions import (
     Parts,
     SkewClassification,
     SkewKind,
+    _descending_parts,
     bounded_compositions,
     contains,
     multiplicities,
     odd_partitions_of,
-    shifted_cells,
     sort_desc,
+    z_lambda,
 )
-from hcchar.qpoly import ONE, QPoly, ZERO
-from hcchar.vertex import f_coeff, straighten
+from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, q_pow_minus_one
+from hcchar.vertex import f_single, straighten
+
+
+@cache
+def partitions_of(n: int) -> tuple[Parts, ...]:
+    return tuple(_descending_parts(n, n, strict=False, odd=False))
+
+
+def coarsenings(rho: Parts) -> tuple[Parts, ...]:
+    """All compositions obtained by merging adjacent parts of rho."""
+    if any(p < 1 for p in rho):
+        raise ValueError("coarsenings need positive parts")
+    if not rho:
+        return ((),)
+    out = []
+    gaps = len(rho) - 1
+    for mask in range(1 << gaps):
+        merged = [rho[0]]
+        for i in range(gaps):
+            if mask >> i & 1:
+                merged[-1] += rho[i + 1]
+            else:
+                merged.append(rho[i + 1])
+        out.append(tuple(merged))
+    return tuple(out)
+
+
+def shifted_cells(lam: Parts) -> frozenset[tuple[int, int]]:
+    """Cells of the shifted diagram: row i covers columns i .. i+lam_i-1."""
+    return frozenset(
+        (i, j) for i, p in enumerate(lam, start=1) for j in range(i, i + p)
+    )
+
+
+@cache
+def square_bracket(k: int) -> QPoly:
+    """[k]_t = t^{k-1} + ... + t + 1 for k >= 1."""
+    if k < 1:
+        raise ValueError("square bracket needs k >= 1")
+    return QPoly((1,) * k)
+
+
+@cache
+def _f_product(parts: Parts) -> QPoly:
+    # parts: positive and sorted, so each multiset costs one multiply
+    if not parts:
+        return ONE
+    return f_single(parts[0]) * _f_product(parts[1:])
+
+
+@cache
+def f_coeff(tau: Parts) -> QPoly:
+    """Product of f over the parts of a composition; zeros contribute 1 and a
+    negative part makes it zero.  The product depends only on the multiset of
+    nonzero parts, so every reordering of tau shares one computed product."""
+    if any(part < 0 for part in tau):
+        return ZERO
+    return _f_product(sort_desc(tau))
+
+
+def sbs_principal_by_coarsenings(rows: Parts) -> QPoly:
+    """Reference for characters.sbs_principal: the signed sum of f over the
+    coarsenings of rows, one f-product per coarsening."""
+    if any(r < 1 for r in rows):
+        raise ValueError("row counts must be positive")
+    out = ZERO
+    for tau in coarsenings(rows):
+        term = f_coeff(tau)
+        if (len(rows) - len(tau)) % 2:
+            term = -term
+        out = out + term
+    return out
+
+
+def alpha_direct_sum(n: int) -> QPoly:
+    """Independent route: sum over odd partitions rho of n of
+    2^{l(rho)} prod_i (t^{rho_i} - 1)^2 / z_rho."""
+    if n < 0:
+        return ZERO
+    if n == 0:
+        return ONE
+    out = ZERO
+    for rho in odd_partitions_of(n):
+        term = ONE
+        for part in rho:
+            term = term * q_pow_minus_one(part) ** 2
+        out = out + term.scale(Fraction(2 ** len(rho), z_lambda(rho)))
+    if not out.has_integer_coeffs():
+        raise NonDivisibleError(f"alpha_{n} direct sum not integral: {out.to_text()}")
+    return out
+
+
+def apply_g_star_pbasis(k: int, a: GammaElement) -> GammaElement:
+    """Degree-k component of exp(sum over odd n of (t^n - 1) d/dp_n z^{-n})."""
+    return apply_exp_partials(k, a, q_pow_minus_one)
+
+
+def principal_specialize(a: GammaElement) -> QPoly:
+    """Substitute p_r -> t^r - 1 for every odd r."""
+    out = ZERO
+    for rho, coeff in a.terms.items():
+        factor = ONE
+        for part in rho:
+            factor = factor * q_pow_minus_one(part)
+        out = out + coeff * factor
+    return out
 
 
 def determinant(rows: list[list[QPoly]]) -> QPoly:
@@ -160,7 +266,7 @@ def classify_skew_by_cells(lam: Parts, mu: Parts) -> SkewClassification:
 
 def qbasis_expansion_by_composition(lam: Parts, k: int) -> dict[Parts, QPoly]:
     """Reference for vertex.qbasis_expansion: one scaled f_tau per composition
-    tau and straightening term, with no grouping by multiset."""
+    tau and per term of straightening the whole word lam - tau."""
     out: dict[Parts, QPoly] = {}
     for tau in bounded_compositions(k, (k,) * len(lam)):
         ftau = f_coeff(tau)
@@ -171,8 +277,9 @@ def qbasis_expansion_by_composition(lam: Parts, k: int) -> dict[Parts, QPoly]:
 
 
 def pieri_f_sums_by_composition(mu: Parts, i: int) -> dict[Parts, QPoly]:
-    """Reference for characters._pieri_f_sums: f_tau added once per composition
-    tau of i bounded by mu, keyed by the partition mu - tau."""
+    """Reference for vertex.composition_sums(characters._merge_part, mu, i):
+    f_tau added once per composition tau of i bounded by mu, keyed by the
+    partition mu - tau."""
     f_by_rest: dict[Parts, QPoly] = {}
     for tau in bounded_compositions(i, mu):
         rest = sort_desc(m - t for m, t in zip(mu, tau))

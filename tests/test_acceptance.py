@@ -4,7 +4,7 @@ its measured scope.  All comparisons are exact polynomial equalities."""
 import random
 import time
 
-from hcchar.bitrace import alpha, alpha_direct_sum, regular_char, sbtr, sbtr_powersum
+from hcchar.bitrace import alpha, regular_char, sbtr, sbtr_powersum
 from hcchar.characters import (
     METHODS,
     char_column,
@@ -19,7 +19,7 @@ from hcchar.characters import (
     gds_expansion,
     orthogonality_sum,
 )
-from hcchar.gamma import GammaElement, principal_specialize
+from hcchar.gamma import GammaElement
 from hcchar.golden import golden_table
 from hcchar.partitions import (
     SkewKind,
@@ -27,7 +27,6 @@ from hcchar.partitions import (
     epsilon,
     nonzero_length,
     odd_partitions_of,
-    partitions_of,
     strict_partitions_of,
     strict_subpartitions,
     z_lambda,
@@ -35,7 +34,13 @@ from hcchar.partitions import (
 from hcchar.pfaffian import AntisymMatrix, pfaffian, skew_Q_principal
 from hcchar.qpoly import QPoly, ZERO
 from hcchar.vertex import Q_lambda_vacuum, apply_Q_m
-from oracles import determinant, shifted_syt_count_enumerated
+from oracles import (
+    alpha_direct_sum,
+    determinant,
+    partitions_of,
+    principal_specialize,
+    shifted_syt_count_enumerated,
+)
 
 
 def test_criterion_1_golden_tables():

@@ -7,7 +7,7 @@ from hcchar.characters import (
     BadShapeError,
     NotGdsError,
     _g_peel,
-    _pieri_f_sums,
+    _merge_part,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -27,13 +27,19 @@ from hcchar.golden import golden_table
 from hcchar.partitions import (
     nonzero_length,
     odd_partitions_of,
-    partitions_of,
     strict_partitions_of,
 )
 from hcchar.pfaffian import skew_Q_principal
 from hcchar.qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow, round_bracket
-from hcchar.vertex import f_single
-from oracles import determinant, pieri_f_sums_by_composition
+from hcchar.vertex import composition_sums, f_single
+from oracles import (
+    coarsenings,
+    determinant,
+    f_coeff,
+    partitions_of,
+    pieri_f_sums_by_composition,
+    sbs_principal_by_coarsenings,
+)
 
 
 def test_wt_gds_examples():
@@ -63,6 +69,20 @@ def test_sbs_principal():
     assert sbs_principal((1, 1)) == f_single(1) ** 2 - f_single(2)
     for rows in [(2,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (3, 2, 1), (1, 2, 1)]:
         assert sbs_principal(rows) == _sbs_determinant_form(rows), rows
+
+
+def test_sbs_principal_matches_coarsening_sum():
+    # the recursion on the top block gives the signed coarsening sum for
+    # every composition of weight at most 9 (the coarsenings of 1^n)
+    checked = 0
+    for n in range(10):
+        for rows in coarsenings((1,) * n):
+            assert sbs_principal(rows) == sbs_principal_by_coarsenings(rows), rows
+            checked += 1
+    assert checked == 512
+    for rows in ((0,), (2, 0, 1), (3, -1)):
+        with pytest.raises(ValueError, match="row counts must be positive"):
+            sbs_principal(rows)
 
 
 def test_sbs_divisibility_up_to_8():
@@ -113,7 +133,7 @@ def test_pieri_f_sums_match_composition_by_composition():
     for n in range(13):
         for mu in partitions_of(n):
             for i in range(n + 1):
-                grouped = dict(_pieri_f_sums(mu, i))
+                grouped = dict(composition_sums(_merge_part, mu, i))
                 assert grouped == pieri_f_sums_by_composition(mu, i), (mu, i)
                 checked += 1
     assert checked == 2918
@@ -139,7 +159,6 @@ def test_two_row_series_matches_definitional_sums():
     # coefficients of the two-row generating function equal the direct sums
     # of split f-products over bounded compositions
     from hcchar.partitions import bounded_compositions
-    from hcchar.vertex import f_coeff
 
     for n in range(1, 8):
         for mu in odd_partitions_of(n):

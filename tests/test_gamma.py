@@ -4,17 +4,19 @@ from fractions import Fraction
 from hcchar.gamma import (
     GammaElement,
     apply_exp_partials,
-    apply_g_star_pbasis,
     expand_g_n,
     expand_q_n,
     g_product,
     inner_product,
-    principal_specialize,
 )
 from hcchar.partitions import odd_partitions_of, strict_partitions_of
 from hcchar.qpoly import ONE, QPoly, ZERO, q_pow_minus_one, round_bracket
 from hcchar.vertex import Q_lambda_vacuum, _annihilation_weight
-from oracles import apply_exp_partials_by_derivatives
+from oracles import (
+    apply_exp_partials_by_derivatives,
+    apply_g_star_pbasis,
+    principal_specialize,
+)
 
 
 def p_elem(*rho):

@@ -7,16 +7,13 @@ from hcchar.partitions import (
     a_statistic,
     bounded_compositions,
     classify_skew,
-    coarsenings,
     contains,
     delta,
     epsilon,
     odd_partitions_of,
     parse_parts,
-    partitions_of,
     format_parts,
     pieri_strips,
-    shifted_cells,
     shifted_syt_count,
     strict_partitions_of,
     strict_subpartitions,
@@ -27,7 +24,10 @@ from hcchar.partitions import (
 from hcchar.qpoly import ONE, QPoly
 from oracles import (
     classify_skew_by_cells,
+    coarsenings,
     gds_split_exists,
+    partitions_of,
+    shifted_cells,
     shifted_syt_count_enumerated,
 )
 

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from hcchar.gamma import principal_specialize
 from hcchar.partitions import (
     SkewKind,
     classify_skew,
@@ -19,7 +18,7 @@ from hcchar.pfaffian import (
 )
 from hcchar.qpoly import ONE, QPoly, ZERO
 from hcchar.vertex import Q_lambda_vacuum, f_pair, f_single
-from oracles import determinant
+from oracles import determinant, principal_specialize
 
 
 def random_antisym(rng, size, deg=2, span=3):

@@ -10,8 +10,8 @@ from hcchar.qpoly import (
     ZERO,
     exact_div_qminus1_pow,
     round_bracket,
-    square_bracket,
 )
+from oracles import square_bracket
 
 coeff = st.integers(-9, 9) | st.fractions(max_denominator=6)
 polys = st.lists(coeff, max_size=6).map(QPoly)

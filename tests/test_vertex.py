@@ -6,7 +6,6 @@ from fractions import Fraction
 from hcchar.characters import _g_peel
 from hcchar.gamma import (
     GammaElement,
-    apply_g_star_pbasis,
     expand_q_n,
     inner_product,
 )
@@ -15,13 +14,12 @@ from hcchar.qpoly import ONE, QPoly, ZERO, round_bracket
 from hcchar.vertex import (
     Q_lambda_vacuum,
     apply_Q_m,
-    f_coeff,
     f_pair,
     f_single,
     qbasis_expansion,
     straighten,
 )
-from oracles import qbasis_expansion_by_composition
+from oracles import apply_g_star_pbasis, f_coeff, qbasis_expansion_by_composition
 
 
 def test_apply_Q_m_examples():
@@ -99,15 +97,16 @@ def test_qbasis_expansion_examples():
 
 
 def test_qbasis_expansion_matches_composition_by_composition():
-    # grouping the f-products by multiset changes no coefficient
+    # the part-by-part sums give every coefficient of the sum over single
+    # compositions
     steps = 0
-    for n in range(11):
+    for n in range(13):
         for lam in strict_partitions_of(n):
             for k in range(n + 1):
                 grouped = dict(qbasis_expansion(lam, k))
                 assert grouped == qbasis_expansion_by_composition(lam, k), (lam, k)
                 steps += 1
-    assert steps == 354
+    assert steps == 693
 
 
 def test_qbasis_peel_small():
