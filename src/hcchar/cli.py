@@ -5,10 +5,13 @@ Set HCCHAR_CACHE to a writable directory to persist computed tables as JSON;
 cache entries are cross-checked between two methods before being written
 and stored atomically, as a SHA-256 digest line followed by the body.  A
 file whose digest, schema, cell set or any cell read fails its check is
-ignored with one warning line on stderr, and the value is recomputed.  A
-cache that cannot be written is an I/O error (exit status 4); a cross-check
-that finds the two methods disagreeing names the first differing cell,
-writes nothing and fails (exit status 1).
+ignored with one warning line on stderr, and the value is recomputed.
+Every read takes the whole file and checks each cell it serves; within one
+process, the decoded cells and the digest, schema and cell-set verdicts of
+a file are reused while the file's exact bytes stay the same.  A cache that
+cannot be written is an I/O error (exit status 4); a cross-check that finds
+the two methods disagreeing names the first differing cell, writes nothing
+and fails (exit status 1).
 """
 
 from __future__ import annotations
@@ -102,35 +105,58 @@ def _checked_cell(n: int, lam: Parts, mu: Parts, raw) -> QPoly:
     return value
 
 
+def _checked_index(n: int, data: bytes) -> dict:
+    """The raw cells of the bytes of a cache file of weight n, keyed by
+    (lambda, mu), once the digest, schema and cell-set checks pass; a
+    ``ValueError`` otherwise."""
+    head, _, body = data.partition(b"\n")
+    if _digest(body) != head:
+        raise ValueError(
+            "content digest mismatch" if len(head) == 64 else "no content digest line"
+        )
+    payload = json.loads(body)
+    schema = (payload.get("version"), payload.get("n")) if isinstance(payload, dict) else None
+    if schema != (CACHE_VERSION, n):
+        raise ValueError("cache schema mismatch")
+    raw = payload.get("cells")
+    try:
+        index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in raw}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed cell list ({exc!r})") from exc
+    if len(index) != len(raw) or index.keys() != _expected_cells(n):
+        raise ValueError("cache cell set mismatch")
+    return index
+
+
+# cache path -> (file bytes, _checked_index of them) for the last file read
+# there that passed those checks.  The checks depend on the bytes alone, so a
+# read of equal bytes reuses the index; any other bytes are checked afresh.
+_checked_files: dict[str, tuple[bytes, dict]] = {}
+
+
 def load_cached_table(n: int, cells=None) -> dict[tuple[Parts, Parts], QPoly] | None:
     """The requested (lambda, mu) cells of the cached table of weight n, every
     cell when ``cells`` is None, each converted and checked.  None on a miss
     or when the file or a requested cell is rejected, with one warning line
-    on stderr.  A requested key that is not a cell of the table is absent."""
+    on stderr.  A requested key that is not a cell of the table is absent.
+
+    Every call reads the file and checks each cell it returns; the digest,
+    schema and cell-set checks and the JSON decoding run again only when the
+    bytes differ from those last accepted at this path in this process."""
     path = _cache_path(n)
     if path is None or not os.path.exists(path):
         return None
     try:
         with open(path, "rb") as handle:
-            head, _, body = handle.read().partition(b"\n")
-        if _digest(body) != head:
-            raise ValueError(
-                "content digest mismatch" if len(head) == 64 else "no content digest line"
-            )
-        payload = json.loads(body)
-        schema = (payload.get("version"), payload.get("n")) if isinstance(payload, dict) else None
-        if schema != (CACHE_VERSION, n):
-            raise ValueError("cache schema mismatch")
-        raw = payload.get("cells")
-        try:
-            index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in raw}
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed cell list ({exc!r})") from exc
-        if len(index) != len(raw) or index.keys() != _expected_cells(n):
-            raise ValueError("cache cell set mismatch")
+            data = handle.read()
+        checked = _checked_files.get(path)
+        if checked is None or checked[0] != data:
+            checked = _checked_files[path] = (data, _checked_index(n, data))
+        index = checked[1]
         keys = index if cells is None else [key for key in cells if key in index]
         return {key: _checked_cell(n, *key, index[key]) for key in keys}
     except (OSError, ValueError) as exc:  # unreadable, undecodable or failing a check
+        _checked_files.pop(path, None)
         print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
         return None
 

@@ -459,3 +459,82 @@ def test_repeated_main_calls_match_fresh_calls(capsys):
         fresh.append(run(capsys, *argv))
     assert in_turn == fresh
     assert [code for code, _, _ in in_turn] == [0, 2, 2, 0, 0]
+
+
+def test_warm_char_hits_decode_the_cache_file_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
+    calls = []
+    loads = json.loads
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", counting)
+    golden = golden_table(5)
+    cells = list(golden)
+    for i in range(50):
+        lam, mu = cells[i % len(cells)]
+        code, out, err = run(capsys, "char", "--lambda", ",".join(map(str, lam)),
+                             "--mu", ",".join(map(str, mu)))
+        assert (code, out, err) == (0, golden[(lam, mu)].to_text() + "\n", "")
+    assert len(calls) == 1
+    for _ in range(2):
+        assert run(capsys, "table", "--n", "5", "--format", "json") == (0, cold, "")
+    assert len(calls) == 1
+
+
+def _warm(capsys, monkeypatch, cache_dir):
+    # a cold table write, then one char hit that decodes the file
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
+    assert run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1") == (0, "8*q^2 - 16*q + 8\n", "")
+    return cache_dir / "chartable_n5.json", cold
+
+
+def test_changed_cache_file_is_checked_afresh_after_a_warm_load(tmp_path, capsys, monkeypatch):
+    cache_file, cold = _warm(capsys, monkeypatch, tmp_path)
+
+    # a different value that passes every check is what the file now holds
+    _write_with_digest(cache_file, _set_cell(cold, "4, 1", "3, 1, 1", "[[2, 1]]"))
+    assert run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1") == (0, "2\n", "")
+
+    # a value failing the per-cell checks is rejected, not served from memory
+    _write_with_digest(cache_file, _set_cell(cold, "4, 1", "3, 1, 1", "[[1, 2]]"))
+    code, out, err = run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1")
+    assert (code, out) == (0, "8*q^2 - 16*q + 8\n")
+    assert err.startswith(f"warning: ignoring cache file {cache_file}: lambda=4,1, mu=3,1,1: ")
+    assert err.count("\n") == 1
+    assert str(cache_file) not in cli._checked_files
+
+    # a corrupted digest line under the body of the last accepted file
+    _write_with_digest(cache_file, cold)
+    assert run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1") == (0, "8*q^2 - 16*q + 8\n", "")
+    digest, body = cache_file.read_text().split("\n", 1)
+    cache_file.write_text(("0" if digest[0] != "0" else "1") + digest[1:] + "\n" + body)
+    code, out, err = run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1")
+    assert (code, out) == (0, "8*q^2 - 16*q + 8\n")
+    assert err == f"warning: ignoring cache file {cache_file}: content digest mismatch\n"
+
+
+def test_decoded_cache_files_are_kept_one_per_path(tmp_path, capsys, monkeypatch):
+    file_a, cold = _warm(capsys, monkeypatch, tmp_path / "a")
+    file_b, _ = _warm(capsys, monkeypatch, tmp_path / "b")
+    _write_with_digest(file_b, _set_cell(cold, "4, 1", "3, 1, 1", "[[2, 1]]"))
+    cell = ((4, 1), (3, 1, 1))
+    values = {tmp_path / "a": QPoly((8, -16, 8)), tmp_path / "b": QPoly((2,))}
+
+    def kept():
+        return sorted(path for path in cli._checked_files if path.startswith(str(tmp_path)))
+
+    for _ in range(2):
+        for cache_dir, value in values.items():
+            monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
+            assert cli.load_cached_table(5, [cell]) == {cell: value}
+        assert kept() == [str(file_a), str(file_b)]
+
+    file_b.write_text("{not json")
+    assert cli.load_cached_table(5) is None
+    assert kept() == [str(file_a)]
+    assert capsys.readouterr().err.count("warning: ignoring cache file") == 1
