@@ -13,6 +13,9 @@ shifted border strip is a recursion on the top block of its coarsenings.
 All internal recursions work with the unnormalized pairing G(lam, mu);
 the final value ties the normalization 2^{-eps(lam)} (q-1)^{-l(mu)} once
 at the boundary and asserts integer coefficients.
+
+The order of the weight-n table's cells is defined once, by table_cells;
+every walk over the table's cells reads it.
 """
 
 from __future__ import annotations
@@ -321,16 +324,20 @@ def char_value(lam: Parts, mu: Parts, method: str = "auto") -> QPoly:
     return METHODS[method](lam, mu)
 
 
-def char_table(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]:
-    """All character values for weight n: columns index strict partitions,
-    rows odd partitions, both in reverse-lexicographic order."""
+def table_cells(n: int):
+    """The (lam, mu) cells of the weight-n table in table order: rows mu
+    over odd partitions outside, columns lam over strict partitions inside,
+    both in reverse-lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = {}
     for mu in odd_partitions_of(n):
         for lam in strict_partitions_of(n):
-            table[(lam, mu)] = char_value(lam, mu, method=method)
-    return table
+            yield lam, mu
+
+
+def char_table(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]:
+    """All character values for weight n, keyed in table_cells order."""
+    return {(lam, mu): char_value(lam, mu, method=method) for lam, mu in table_cells(n)}
 
 
 def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:

@@ -63,13 +63,6 @@ def _cache_path(n: int) -> str | None:
     return os.path.join(root, f"chartable_n{n}.json")
 
 
-@functools.cache
-def _expected_cells(n: int) -> frozenset[tuple[Parts, Parts]]:
-    return frozenset(
-        (lam, mu) for mu in odd_partitions_of(n) for lam in strict_partitions_of(n)
-    )
-
-
 def _digest(body: bytes) -> bytes:
     # imported here because hashlib loads OpenSSL, about 3.7 MB of resident
     # memory that runs without a cache should not pay for
@@ -123,7 +116,7 @@ def _checked_index(n: int, data: bytes) -> dict:
         index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in raw}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed cell list ({exc!r})") from exc
-    if len(index) != len(raw) or index.keys() != _expected_cells(n):
+    if len(index) != len(raw) or index.keys() != set(characters.table_cells(n)):
         raise ValueError("cache cell set mismatch")
     return index
 
@@ -188,14 +181,9 @@ def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], 
         # cached values must agree with a second, independent method
         check_method = "combinatorial" if method == "recursive" else "recursive"
         check = characters.char_table(n, method=check_method)
-        for (lam, mu), value in table.items():
-            if check[(lam, mu)] != value:
-                raise MethodDisagreementError(
-                    f"methods disagree while caching n={n} at "
-                    f"lambda={format_parts(lam)}, mu={format_parts(mu)}: "
-                    f"{method} gives {value.to_text()}, "
-                    f"{check_method} gives {check[(lam, mu)].to_text()}"
-                )
+        for cell, value in table.items():
+            if failure := _disagreement(_cell(*cell), {method: value, check_method: check[cell]}):
+                raise MethodDisagreementError(f"methods disagree while caching n={n} at {failure}")
         store_cached_table(n, table)
     return table
 
@@ -206,8 +194,7 @@ def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], 
 def render_table_json(n: int, table) -> str:
     cells = [
         {"lambda": list(lam), "mu": list(mu), "poly": table[(lam, mu)].to_json()}
-        for mu in odd_partitions_of(n)
-        for lam in strict_partitions_of(n)
+        for lam, mu in characters.table_cells(n)
     ]
     return json.dumps({"n": n, "cells": cells, "version": CACHE_VERSION})
 
@@ -257,6 +244,17 @@ def _cell(lam: Parts, mu: Parts) -> str:
     return f"lambda={format_parts(lam)}, mu={format_parts(mu)}"
 
 
+def _disagreement(label: str, values: dict[str, QPoly]) -> str | None:
+    """None when the named values are all equal, else the label and what
+    each name gives, in the order of ``values``."""
+    first, *rest = values.values()
+    if all(value == first for value in rest):
+        return None
+    return f"{label}: " + ", ".join(
+        f"{name} gives {value.to_text()}" for name, value in values.items()
+    )
+
+
 def _table_differences(computed: dict, expected: dict):
     for cell in [*computed, *(cell for cell in expected if cell not in computed)]:
         if computed.get(cell) != expected.get(cell):
@@ -276,13 +274,10 @@ def _suite_tables(n_max: int):
 
 
 def _method_disagreements(n: int):
-    for mu in odd_partitions_of(n):
-        for lam in strict_partitions_of(n):
-            values = {name: fn(lam, mu) for name, fn in characters.METHODS.items()}
-            if len(set(values.values())) != 1:
-                yield f"{_cell(lam, mu)}: " + ", ".join(
-                    f"{name} gives {value.to_text()}" for name, value in values.items()
-                )
+    for lam, mu in characters.table_cells(n):
+        values = {name: fn(lam, mu) for name, fn in characters.METHODS.items()}
+        if failure := _disagreement(_cell(lam, mu), values):
+            yield failure
 
 
 def _closed_form_disagreements(n: int):
@@ -297,12 +292,9 @@ def _closed_form_disagreements(n: int):
                 yield "hook", lam, (k,) + (1,) * (n - k), characters.char_hook_mu(lam, k)
 
     for form, lam, mu, value in closed_forms():
-        base = characters.char_combinatorial(lam, mu)
-        if value != base:
-            yield (
-                f"{_cell(lam, mu)}: {form} form gives {value.to_text()}, "
-                f"combinatorial gives {base.to_text()}"
-            )
+        values = {f"{form} form": value, "combinatorial": characters.char_combinatorial(lam, mu)}
+        if failure := _disagreement(_cell(lam, mu), values):
+            yield failure
 
 
 def _suite_cross(n_max: int):
@@ -313,12 +305,11 @@ def _suite_cross(n_max: int):
 
 
 def _symmetry_failures(n: int):
-    for mu in odd_partitions_of(n):
+    for lam, mu in characters.table_cells(n):
+        value = characters.char_value(lam, mu)
         bound = n - nonzero_length(mu)
-        for lam in strict_partitions_of(n):
-            value = characters.char_value(lam, mu)
-            if not value.is_palindromic() or value.degree > bound:
-                yield f"{_cell(lam, mu)}: value {value.to_text()}, degree bound {bound}"
+        if not value.is_palindromic() or value.degree > bound:
+            yield f"{_cell(lam, mu)}: value {value.to_text()}, degree bound {bound}"
 
 
 def _suite_symmetry(n_max: int):
@@ -331,14 +322,14 @@ def _ortho_failures(n: int):
     for mu in odd_partitions_of(n):
         for nu in odd_partitions_of(n):
             lhs = characters.orthogonality_sum(mu, nu)
-            mid = bitrace.sbtr(mu, nu)
-            rhs = bitrace.sbtr_powersum(mu, nu)
+            values = {
+                "character pairing": lhs,
+                "sbtr": bitrace.sbtr(mu, nu),
+                "sbtr_powersum": bitrace.sbtr_powersum(mu, nu),
+            }
             pair = f"mu={format_parts(mu)}, nu={format_parts(nu)}"
-            if not (lhs == mid == rhs):
-                yield (
-                    f"{pair}: character pairing gives {lhs.to_text()}, "
-                    f"sbtr gives {mid.to_text()}, sbtr_powersum gives {rhs.to_text()}"
-                )
+            if failure := _disagreement(pair, values):
+                yield failure
             expected = 2 ** nonzero_length(mu) * z_lambda(mu) if mu == nu else 0
             if lhs.eval_at(1) != expected:
                 yield f"{pair}: {lhs.eval_at(1)} at q=1, expected {expected}"
@@ -364,22 +355,21 @@ VERIFY_SUITES = {
 }
 
 
-def run_verify(n_max: int, suite: str, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def run_verify(n_max: int, suite: str) -> int:
     names = list(VERIFY_SUITES) if suite == "all" else [suite]
     all_ok = True
     checked = 0
     for name in names:
         for description, failure in VERIFY_SUITES[name](n_max):
             if failure is None:
-                print(f"PASS [{name}] {description}", file=out)
+                print(f"PASS [{name}] {description}")
             else:
-                print(f"FAIL [{name}] {description}: {failure}", file=out)
+                print(f"FAIL [{name}] {description}: {failure}")
             all_ok = all_ok and failure is None
             checked += 1
     if not checked:
         raise ValueError(f"no verify check runs for --suite {suite} --n-max {n_max}")
-    print("verify: " + ("all checks passed" if all_ok else "FAILURES detected"), file=out)
+    print("verify: " + ("all checks passed" if all_ok else "FAILURES detected"))
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -420,14 +410,19 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _at_q(text: str) -> Fraction:
+    # Fraction spends minutes on a decimal exponent far past the 4300 digits
+    # CPython allows in an int <-> str conversion, so those are refused first
+    _, e, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):
+        raise ValueError("--at-q decimal exponent exceeds 4300 in magnitude")
+    return Fraction(text)
+
+
 def _cmd_sbtr(args) -> int:
-    mu = parse_parts(args.mu)
-    nu = parse_parts(args.nu)
-    value = bitrace.sbtr(mu, nu)
-    if args.at_q is not None:
-        print(value.eval_at(Fraction(args.at_q)))
-    else:
-        print(value.to_text())
+    value = bitrace.sbtr(parse_parts(args.mu), parse_parts(args.nu))
+    print(value.to_text() if args.at_q is None else value.eval_at(_at_q(args.at_q)))
     return EXIT_OK
 
 

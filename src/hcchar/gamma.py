@@ -63,9 +63,6 @@ class GammaElement:
             out[k] = out.get(k, ZERO) + v
         return GammaElement(out)
 
-    def __sub__(self, other: "GammaElement") -> "GammaElement":
-        return self + other.scale(QPoly((-1,)))
-
     def scale(self, c) -> "GammaElement":
         if isinstance(c, QPoly):
             if c.is_zero():

@@ -21,6 +21,7 @@ from hcchar.characters import (
     char_value,
     gds_expansion,
     sbs_principal,
+    table_cells,
     wt_gds,
 )
 from hcchar.golden import golden_table
@@ -224,6 +225,19 @@ def test_table_matches_golden():
     table = char_table(6)
     for value in table.values():
         assert value.is_palindromic()
+
+
+def test_table_cells_run_rows_outside_columns_inside():
+    assert list(table_cells(4)) == [
+        ((4,), (3, 1)),
+        ((3, 1), (3, 1)),
+        ((4,), (1, 1, 1, 1)),
+        ((3, 1), (1, 1, 1, 1)),
+    ]
+    assert list(table_cells(0)) == [((), ())]
+    assert list(char_table(6)) == list(table_cells(6))
+    with pytest.raises(ValueError, match="nonnegative"):
+        char_table(-1)
 
 
 def test_wt_gds_matches_pfaffian_small():

@@ -75,6 +75,8 @@ def test_table_json_roundtrip(capsys):
     assert payload["version"] == 1 and payload["n"] == 4
     table = golden_table(4)
     assert len(payload["cells"]) == len(table)
+    keys = [(tuple(cell["lambda"]), tuple(cell["mu"])) for cell in payload["cells"]]
+    assert keys == list(cli.characters.table_cells(4))
     for cell in payload["cells"]:
         key = (tuple(cell["lambda"]), tuple(cell["mu"]))
         assert QPoly.from_json(cell["poly"]) == table[key]
@@ -118,11 +120,53 @@ def test_sbtr_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "at_q",
+    ["1e4301", "1E-4_301", " 2.5e+0010000000 ", "1e" + "9" * 9999],
+    ids=["1e4301", "1E-4_301", "padded", "9999-digit exponent"],
+)
+def test_sbtr_refuses_an_at_q_exponent_past_4300(capsys, monkeypatch, at_q):
+    # parsing such a string alone takes Fraction seconds to minutes
+    def refusing_fraction(text):
+        raise AssertionError(f"Fraction called on {text[:20]!r}...")
+
+    monkeypatch.setattr(cli, "Fraction", refusing_fraction)
+    code, out, err = run(capsys, "sbtr", "--mu", "3", "--nu", "3", "--at-q", at_q)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --at-q decimal exponent exceeds 4300 in magnitude\n"
+
+
+@pytest.mark.parametrize("at_q", ["1e4300", "1E-4_300", "3e+0004300", " 1/3 ", "5"])
+def test_sbtr_evaluates_at_q_exponents_up_to_4300(capsys, at_q):
+    # sbtr of (1) against (1) is the constant 2
+    assert run(capsys, "sbtr", "--mu", "1", "--nu", "1", "--at-q", at_q) == (0, "2\n", "")
+
+
 def test_verify_small(capsys):
-    code, out, _ = run(capsys, "verify", "--n-max", "4", "--suite", "all")
-    assert code == 0
-    assert "FAIL" not in out
-    assert "PASS [tables]" in out and "PASS [ortho]" in out
+    # the whole report, so any change of wording or order fails here by name
+    code, out, err = run(capsys, "verify", "--n-max", "4", "--suite", "all")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "PASS [tables] table n=3 matches the published table (4 cells)",
+        "PASS [tables] table n=4 matches the published table (4 cells)",
+        "PASS [cross] five-way method agreement, n=1",
+        "PASS [cross] closed forms agree on their domains, n=1",
+        "PASS [cross] five-way method agreement, n=2",
+        "PASS [cross] closed forms agree on their domains, n=2",
+        "PASS [cross] five-way method agreement, n=3",
+        "PASS [cross] closed forms agree on their domains, n=3",
+        "PASS [cross] five-way method agreement, n=4",
+        "PASS [cross] closed forms agree on their domains, n=4",
+        "PASS [symmetry] palindromic coefficients and degree bound, n=1",
+        "PASS [symmetry] palindromic coefficients and degree bound, n=2",
+        "PASS [symmetry] palindromic coefficients and degree bound, n=3",
+        "PASS [symmetry] palindromic coefficients and degree bound, n=4",
+        "PASS [ortho] bitrace orthogonality and regular character, n=1",
+        "PASS [ortho] bitrace orthogonality and regular character, n=2",
+        "PASS [ortho] bitrace orthogonality and regular character, n=3",
+        "PASS [ortho] bitrace orthogonality and regular character, n=4",
+        "verify: all checks passed",
+    ]
 
 
 def _off_by_one_at_3_1(fn):
@@ -392,6 +436,36 @@ def test_load_rejects_the_whole_table_for_one_bad_cell(tmp_path, capsys, monkeyp
     assert capsys.readouterr().err.count("warning: ignoring cache file") == 1
 
 
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda data: data.update(version=2), "cache schema mismatch"),
+        (lambda data: data.update(n=4), "cache schema mismatch"),
+        (lambda data: data["cells"].pop(), "cache cell set mismatch"),
+        (lambda data: data["cells"].append(data["cells"][0]), "cache cell set mismatch"),
+        (lambda data: data["cells"][-1].pop("poly"), "malformed cell list (KeyError('poly'))"),
+    ],
+    ids=["version", "n", "missing cell", "duplicated cell", "cell without poly"],
+)
+def test_cache_file_failing_a_whole_file_check_is_recomputed(
+    tmp_path, capsys, monkeypatch, edit, reason
+):
+    # the digest matches, so only the schema and cell-set checks can catch these
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
+    cache_file = tmp_path / "chartable_n5.json"
+    payload = json.loads(cold)
+    edit(payload)
+    _write_with_digest(cache_file, json.dumps(payload))
+    warning = f"warning: ignoring cache file {cache_file}: {reason}\n"
+
+    code, out, err = run(capsys, "char", "--lambda", "5", "--mu", "5")
+    assert (code, out, err) == (0, "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2\n", warning)
+
+    assert run(capsys, "table", "--n", "5", "--format", "json") == (0, cold, warning)
+    assert cache_file.read_text() == hashlib.sha256(cold.encode()).hexdigest() + "\n" + cold
+
+
 def test_char_outside_the_table_misses_the_warm_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     assert run(capsys, "table", "--n", "4")[0] == 0
@@ -422,7 +496,7 @@ def test_cache_load_does_not_hide_programming_errors(tmp_path, capsys, monkeypat
     def broken(n):
         raise RuntimeError("synthetic bug")
 
-    monkeypatch.setattr(cli, "_expected_cells", broken)
+    monkeypatch.setattr(cli.characters, "table_cells", broken)
     with pytest.raises(RuntimeError, match="synthetic bug"):
         cli.main(["char", "--lambda", "3", "--mu", "3"])
 
