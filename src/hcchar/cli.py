@@ -417,12 +417,19 @@ def _at_q(text: str) -> Fraction:
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > 4300):
         raise ValueError("--at-q decimal exponent exceeds 4300 in magnitude")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--at-q must be a rational number of at most 4300 digits") from None
 
 
 def _cmd_sbtr(args) -> int:
     value = bitrace.sbtr(parse_parts(args.mu), parse_parts(args.nu))
-    print(value.to_text() if args.at_q is None else value.eval_at(_at_q(args.at_q)))
+    at_q = None if args.at_q is None else _at_q(args.at_q)
+    try:
+        print(value.to_text() if at_q is None else value.eval_at(at_q))
+    except ValueError:  # CPython's 4300-digit limit on int-to-text conversion
+        raise ValueError("--at-q gives a value of more than 4300 digits") from None
     return EXIT_OK
 
 

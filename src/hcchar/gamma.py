@@ -14,8 +14,8 @@ from math import comb, prod
 
 from .partitions import (
     Parts,
-    merge_partitions,
     odd_partitions_of,
+    sort_desc,
     z_lambda,
     zt_denominator,
 )
@@ -74,7 +74,7 @@ class GammaElement:
         out: dict[Parts, QPoly] = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                key = merge_partitions(ka, kb)
+                key = sort_desc(ka + kb)
                 prod = va * vb
                 out[key] = out.get(key, ZERO) + prod
         return GammaElement(out)

@@ -95,12 +95,9 @@ def zt_denominator(parts: Parts) -> QPoly:
     return out
 
 
-def merge_partitions(a: Parts, b: Parts) -> Parts:
-    return tuple(sorted(a + b, reverse=True))
-
-
 # ---------------------------------------------------------------------------
-# enumeration (reverse-lexicographic order throughout)
+# enumeration (reverse-lexicographic order throughout); sub-shapes are
+# filtered from the memoized lists of strict partitions
 
 def _descending_parts(n: int, maxpart: int, strict: bool, odd: bool):
     if n == 0:
@@ -122,6 +119,13 @@ def strict_partitions_of(n: int) -> tuple[Parts, ...]:
 @cache
 def odd_partitions_of(n: int) -> tuple[Parts, ...]:
     return tuple(_descending_parts(n, n, strict=False, odd=True))
+
+
+def strict_subpartitions(lam: Parts, target_weight: int):
+    """Strict nu contained entrywise in lam with the given weight, in the
+    reverse-lexicographic order of strict_partitions_of."""
+    if 0 <= target_weight <= weight(lam):
+        yield from (nu for nu in strict_partitions_of(target_weight) if contains(lam, nu))
 
 
 def bounded_compositions(total: int, bounds: Parts) -> list[Parts]:
@@ -232,23 +236,6 @@ def classify_skew(lam: Parts, mu: Parts) -> SkewClassification:
     return SkewClassification(kind, c, beta_components, l_jump)
 
 
-def strict_subpartitions(lam: Parts, target_weight: int):
-    """Strict nu contained entrywise in lam with the given weight."""
-    def rec(i: int, prev: int, remaining: int):
-        if remaining == 0:
-            yield ()
-        if i == len(lam):
-            return
-        hi = min(lam[i], prev - 1, remaining)
-        for v in range(hi, 0, -1):
-            for rest in rec(i + 1, v, remaining - v):
-                yield (v,) + rest
-
-    if target_weight < 0:
-        return
-    yield from rec(0, (lam[0] + 1) if lam else 1, target_weight)
-
-
 # ---------------------------------------------------------------------------
 # horizontal strips (Pieri rule data, on unshifted diagrams)
 
@@ -263,29 +250,14 @@ def a_statistic(lam: Parts, mu: Parts) -> int:
 
 def pieri_strips(kappa: Parts, r: int) -> list[tuple[Parts, int]]:
     """Strict xi inside the strict partition kappa with kappa/xi a horizontal
-    r-strip, each paired with a(kappa/xi)."""
-    # xi interlaces: kappa_i >= xi_i >= kappa_{i+1}, xi strict, |kappa/xi| = r
-    results: list[tuple[Parts, int]] = []
-
-    def rec(i: int, prev: int, remaining: int, acc: list[int]):
-        if i == len(kappa):
-            if remaining == 0:
-                xi = tuple(p for p in acc if p)
-                results.append((xi, a_statistic(kappa, xi)))
-            return
-        lo = kappa[i + 1] if i + 1 < len(kappa) else 0
-        for v in range(min(kappa[i], prev - 1 if prev else 0), lo - 1, -1):
-            removed = kappa[i] - v
-            if removed > remaining:
-                break
-            acc.append(v)
-            rec(i + 1, v, remaining - removed, acc)
-            acc.pop()
-
-    if r < 0:
-        return []
-    rec(0, kappa[0] + 2 if kappa else 1, r, [])
-    return results
+    r-strip, each paired with a(kappa/xi).  Inside kappa, the strip is
+    horizontal exactly when xi interlaces: xi_i >= kappa_{i+1}, xi padded
+    with zeros."""
+    return [
+        (xi, a_statistic(kappa, xi))
+        for xi in strict_subpartitions(kappa, weight(kappa) - r)
+        if all(x >= k for x, k in zip(xi + (0,) * len(kappa), kappa[1:]))
+    ]
 
 
 # ---------------------------------------------------------------------------

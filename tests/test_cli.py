@@ -136,6 +136,19 @@ def test_sbtr_refuses_an_at_q_exponent_past_4300(capsys, monkeypatch, at_q):
     assert err == "error: --at-q decimal exponent exceeds 4300 in magnitude\n"
 
 
+@pytest.mark.parametrize(
+    "at_q, reason",
+    [
+        ("1e1100", "gives a value of more than 4300 digits"),
+        ("1e-1100", "gives a value of more than 4300 digits"),
+        ("1/0", "must be a rational number of at most 4300 digits"),
+    ],
+)
+def test_sbtr_names_at_q_when_its_value_cannot_be_parsed_or_printed(capsys, at_q, reason):
+    code, out, err = run(capsys, "sbtr", "--mu", "3", "--nu", "3", "--at-q", at_q)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: --at-q {reason}\n")
+
+
 @pytest.mark.parametrize("at_q", ["1e4300", "1E-4_300", "3e+0004300", " 1/3 ", "5"])
 def test_sbtr_evaluates_at_q_exponents_up_to_4300(capsys, at_q):
     # sbtr of (1) against (1) is the constant 2

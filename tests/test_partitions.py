@@ -29,6 +29,7 @@ from oracles import (
     partitions_of,
     shifted_cells,
     shifted_syt_count_enumerated,
+    strict_partitions_between,
 )
 
 
@@ -211,14 +212,28 @@ def _is_horizontal_strip(outer, inner):
     return all(v <= 1 for v in cols.values())
 
 
+def test_strict_subpartitions_match_the_oracle_in_order():
+    for n in range(13):
+        for lam in strict_partitions_of(n):
+            between = list(strict_partitions_between((), lam))
+            for w in range(-1, n + 2):
+                expect = [nu for nu in between if weight(nu) == w]
+                assert list(strict_subpartitions(lam, w)) == expect, (lam, w)
+    # the benchmark tracer steps the result with next()
+    assert next(strict_subpartitions((3, 1), 2)) == (2,)
+    assert next(strict_subpartitions((3, 1), 5), None) is None
+
+
 def test_pieri_examples():
     assert pieri_strips((2,), 1) == [((1,), 1)]
     assert pieri_strips((), 0) == [((), 0)]
+    assert pieri_strips((3, 1), -1) == []
+    assert pieri_strips((3, 1), 5) == []
     assert a_statistic((2,), (1,)) == 1
 
 
 def test_pieri_against_brute_force():
-    for n in range(8):
+    for n in range(11):
         for kappa in strict_partitions_of(n):
             for r in range(n + 1):
                 got = dict(pieri_strips(kappa, r))
