@@ -12,7 +12,9 @@ shifted border strip is a recursion on the top block of its coarsenings.
 
 All internal recursions work with the unnormalized pairing G(lam, mu);
 the final value ties the normalization 2^{-eps(lam)} (q-1)^{-l(mu)} once
-at the boundary and asserts integer coefficients.
+at the boundary, in exact integer divisions that assert integer
+coefficients.  The two-row closed form folds the normalization into its own
+generating function instead.
 
 The order of the weight-n table's cells is defined once, by table_cells;
 every walk over the table's cells reads it.
@@ -48,6 +50,7 @@ from .qpoly import (
     ONE,
     QPoly,
     ZERO,
+    exact_div_int,
     exact_div_qminus1_pow,
     round_bracket,
 )
@@ -126,12 +129,14 @@ def pfaffian_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
 
 def _finalize(g_value: QPoly, lam: Parts, mu: Parts) -> QPoly:
     quotient = exact_div_qminus1_pow(g_value, nonzero_length(mu))
-    result = quotient.scale(Fraction(1, 2 ** epsilon(lam)))
-    if not result.has_integer_coeffs():
+    two_eps = 2 ** epsilon(lam)
+    try:
+        return exact_div_int(quotient, two_eps)
+    except NonDivisibleError as exc:
+        rational = quotient.scale(Fraction(1, two_eps)).to_text()
         raise NonDivisibleError(
-            f"character for {lam}, {mu} is not integral: {result.to_text()}"
-        )
-    return result
+            f"character for {lam}, {mu} is not integral: {rational}"
+        ) from exc
 
 
 def _validate(lam: Parts, mu: Parts) -> tuple[Parts, Parts]:
@@ -236,7 +241,11 @@ def char_one_row(mu: Parts) -> QPoly:
 
 @cache
 def _two_row_series(mu: Parts) -> tuple[QPoly, ...]:
-    """(2q-2)^{l(mu)} C(v), as q-polynomials indexed by the power of v."""
+    """C(v), the product over the parts m of mu of
+    (m)_q (1 + v^m) + 2(q-1) sum_{0<j<m} (j)_q (m-j)_q v^j,
+    as q-polynomials indexed by the power of v.  The pairing G((k, n-k), mu)
+    is (2q-2)^{l(mu)} times signed tail sums of these coefficients, so the
+    character, G / (2 (q-1)^{l(mu)}), is 2^{l(mu)-1} times those sums."""
     series: list[QPoly] = [ONE]
     for part in mu:
         factor: list[QPoly] = [ZERO] * (part + 1)
@@ -256,8 +265,7 @@ def _two_row_series(mu: Parts) -> tuple[QPoly, ...]:
                 if not b.is_zero():
                     new[i + j] = new[i + j] + a * b
         series = new
-    lead = (QPoly((-2, 2))) ** nonzero_length(mu)
-    return tuple(lead * c for c in series)
+    return tuple(series)
 
 
 def char_two_row(k: int, mu: Parts) -> QPoly:
@@ -277,8 +285,7 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
             tail_k = tail_k + signed
         if i >= k + 1:
             tail_k1 = tail_k1 + signed
-    g_value = (tail_k + tail_k1).scale((-1) ** k)
-    return _finalize(g_value, (k, n - k), mu)
+    return (tail_k + tail_k1).scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
 
 
 def char_column(lam: Parts) -> QPoly:
@@ -346,11 +353,14 @@ def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:
     mu, nu = sort_desc(mu), sort_desc(nu)
     if weight(mu) != weight(nu):
         raise ValueError("weights differ")
-    n = weight(mu)
+    lams = strict_partitions_of(weight(mu))
+    # 2^{delta_max} times the sum, in integer scales; one division at the end
+    delta_max = max(delta(lam) for lam in lams)
     out = ZERO
-    for lam in strict_partitions_of(n):
+    for lam in lams:
         term = char_value(lam, mu) * char_value(lam, nu)
-        out = out + term.scale(Fraction(1, 2 ** delta(lam)))
-    if not out.has_integer_coeffs():
-        raise NonDivisibleError("orthogonality sum not integral")
-    return out
+        out = out + term.scale(2 ** (delta_max - delta(lam)))
+    try:
+        return exact_div_int(out, 2**delta_max)
+    except NonDivisibleError as exc:
+        raise NonDivisibleError("orthogonality sum not integral") from exc

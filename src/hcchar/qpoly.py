@@ -172,22 +172,39 @@ ONE = QPoly((1,))
 
 
 def exact_div_qminus1_pow(f: QPoly, m: int) -> QPoly:
-    """Divide f by (q-1)^m, requiring the division to be exact."""
+    """Divide f by (q-1)^m, requiring the division to be exact.
+
+    The m passes of synthetic division run in place over one list of
+    coefficients, held as ints where they are integral."""
     if m < 0:
         raise ValueError("negative power")
-    for _ in range(m):
-        if f.is_zero():
-            continue
-        # synthetic division by (q - 1): remainder is f(1)
-        out = [Fraction(0)] * len(f.coeffs)
-        carry = Fraction(0)
-        for i in range(len(f.coeffs) - 1, 0, -1):
-            carry += f.coeffs[i]
-            out[i - 1] = carry
-        if carry + f.coeffs[0]:
-            raise NonDivisibleError(f"remainder {carry + f.coeffs[0]} dividing by (q-1)")
-        f = QPoly(out)
-    return f
+    if not m or not f.coeffs:
+        return f
+    # ints add far faster than Fractions; rational inputs must still divide
+    cs = [c.numerator if c.denominator == 1 else c for c in f.coeffs]
+    top = len(cs) - 1
+    # the dividend is cs[lo:]; a pass leaves the quotient's coefficient of
+    # q^j, the sum of the dividend's coefficients from q^{j+1} up, at cs[lo+1+j]
+    for lo in range(m):
+        carry = 0
+        for i in range(top, lo, -1):
+            carry += cs[i]
+            cs[i] = carry
+        if carry + cs[lo]:
+            raise NonDivisibleError(f"remainder {carry + cs[lo]} dividing by (q-1)")
+    return QPoly(cs[m:])
+
+
+def exact_div_int(f: QPoly, d: int) -> QPoly:
+    """Divide every coefficient of f by the nonzero integer d, requiring
+    integer quotients."""
+    out = []
+    for c in f.coeffs:
+        quotient, remainder = divmod(c.numerator, d)
+        if remainder or c.denominator != 1:
+            raise NonDivisibleError(f"{f.to_text()} is not divisible by {d} over the integers")
+        out.append(quotient)
+    return QPoly(out)
 
 
 @cache

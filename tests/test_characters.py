@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hcchar.characters import (
     BadShapeError,
     NotGdsError,
+    _finalize,
     _g_peel,
     _merge_part,
     char_column,
@@ -20,18 +21,27 @@ from hcchar.characters import (
     char_two_row,
     char_value,
     gds_expansion,
+    orthogonality_sum,
     sbs_principal,
     table_cells,
     wt_gds,
 )
 from hcchar.golden import golden_table
 from hcchar.partitions import (
+    epsilon,
     nonzero_length,
     odd_partitions_of,
     strict_partitions_of,
 )
 from hcchar.pfaffian import skew_Q_principal
-from hcchar.qpoly import ONE, QPoly, ZERO, exact_div_qminus1_pow, round_bracket
+from hcchar.qpoly import (
+    NonDivisibleError,
+    ONE,
+    QPoly,
+    ZERO,
+    exact_div_qminus1_pow,
+    round_bracket,
+)
 from hcchar.vertex import composition_sums, f_single
 from oracles import (
     coarsenings,
@@ -176,6 +186,40 @@ def test_two_row_series_matches_definitional_sums():
                     lhs = lhs + direct[i].scale((-1) ** (i - k))
                 expect = exact_div_qminus1_pow(lhs, nonzero_length(mu)).scale(Fraction(1, 2))
                 assert char_two_row(k, mu) == expect, (k, mu)
+
+
+def _int_horner(f: QPoly, x: int) -> int:
+    # evaluation in plain ints, apart from QPoly arithmetic
+    acc = 0
+    for c in reversed(f.coeffs):
+        assert c.denominator == 1, f
+        acc = acc * x + c.numerator
+    return acc
+
+
+def test_normalization_at_integer_points():
+    # G = 2^eps(lam) (q-1)^l(mu) chi, checked at integer points q0 where
+    # q0 - 1 is not a unit; five-way agreement cannot see a normalization
+    # fault, since every route shares it
+    for n in range(1, 13):
+        for mu in odd_partitions_of(n):
+            for lam in strict_partitions_of(n):
+                g_value = _g_peel(gds_expansion, lam, mu)
+                chi = char_combinatorial(lam, mu)
+                for q0 in (3, -2, 2**61 - 1):
+                    expect = (q0 - 1) ** len(mu) * 2 ** epsilon(lam) * _int_horner(chi, q0)
+                    assert _int_horner(g_value, q0) == expect, (lam, mu, q0)
+
+
+def test_normalization_errors_name_the_value(monkeypatch):
+    with pytest.raises(NonDivisibleError) as exc:
+        _finalize(QPoly((-1, 3, -3, 1)), (2, 1), (1, 1, 1))
+    assert str(exc.value) == "character for (2, 1), (1, 1, 1) is not integral: 1/2"
+
+    # 1/2 + 1 over the strict partitions (3) and (2, 1)
+    monkeypatch.setattr("hcchar.characters.char_value", lambda lam, mu: ONE)
+    with pytest.raises(NonDivisibleError, match="^orthogonality sum not integral$"):
+        orthogonality_sum((3,), (1, 1, 1))
 
 
 def test_closed_forms():

@@ -8,6 +8,7 @@ from hcchar.qpoly import (
     ONE,
     QPoly,
     ZERO,
+    exact_div_int,
     exact_div_qminus1_pow,
     round_bracket,
 )
@@ -57,8 +58,26 @@ def test_exact_div_roundtrip(f, m):
 def test_exact_div_examples():
     assert exact_div_qminus1_pow(QPoly((1, -2, 1)).scale(2), 1) == QPoly((-2, 2))
     assert exact_div_qminus1_pow(QPoly((1, -2, 1)), 2) == ONE
-    with pytest.raises(NonDivisibleError):
+    with pytest.raises(NonDivisibleError) as exc:
         exact_div_qminus1_pow(QPoly((-1, 0, 1)), 2)
+    assert str(exc.value) == "remainder 2 dividing by (q-1)"
+    # rational coefficients divide too
+    quotient = QPoly((Fraction(1, 3), Fraction(1, 2)))
+    assert exact_div_qminus1_pow(QPoly((-1, 1)) * quotient, 1) == quotient
+    f = QPoly((3, 0, -2))
+    assert exact_div_qminus1_pow(f, 0) == f
+    for m in range(4):
+        assert exact_div_qminus1_pow(ZERO, m) == ZERO
+
+
+@given(st.lists(st.integers(-9, 9), max_size=6).map(QPoly), st.integers(-9, 9).filter(bool))
+def test_exact_div_int_roundtrip(f, d):
+    assert exact_div_int(f.scale(d), d) == f
+    if d not in (1, -1):
+        with pytest.raises(NonDivisibleError):
+            exact_div_int(f.scale(d) + ONE, d)
+    with pytest.raises(NonDivisibleError):
+        exact_div_int(f + QPoly((Fraction(1, 2),)), 1)
 
 
 def test_eval_examples():
