@@ -6,15 +6,28 @@ recursion on the Q-basis, a Pfaffian expansion, a strip-weight recursion,
 and a Pieri-rule recursion on the indexing partition.  Closed forms cover
 one-row, two-row, one-column and hook class types.
 
-The Q-basis lowering step and the Pieri recursion take their sums of
-f-products over compositions from vertex.composition_sums; the value of a
-shifted border strip is a recursion on the top block of its coarsenings.
+What the routes share: the recursive, pfaffian and combinatorial routes
+run one peel, _g_peel, over three lowering-step tables, so only the oracle
+and Pieri check the peel itself.  The Q-basis lowering step and the Pieri
+recursion take their sums of f-products over compositions from
+vertex.composition_sums; the value of a shifted border strip is a
+recursion on the top block of its coarsenings.
 
-All internal recursions work with the unnormalized pairing G(lam, mu);
-the final value ties the normalization 2^{-eps(lam)} (q-1)^{-l(mu)} once
-at the boundary, in exact integer divisions that assert integer
-coefficients.  The two-row closed form folds the normalization into its own
-generating function instead.
+All internal recursions work with the unnormalized pairing G(lam, mu); all
+five routes, the oracle and Pieri included, then share one normalization,
+_finalize, which ties 2^{-eps(lam)} (q-1)^{-l(mu)} once at the boundary, in
+exact integer divisions that assert integer coefficients.  Agreement of the
+routes cannot see a fault there; test_normalization_at_integer_points checks
+it in plain ints.  The two-row closed form folds the normalization into its
+own generating function instead.
+
+The Pieri recursion runs on ints: first on the L1 norms of its terms, with
+the signs dropped, for a bound on every coefficient of G, then on its terms
+packed at q = 2^B (Kronecker substitution), with B at least two bits above
+that bound.  The packed G is unpacked from its balanced base-2^B digits, and
+a width or digit beyond the bound raises instead of returning a value.  The
+oracle and the peel stay on QPoly, the unpacked reference the packing is
+checked against.
 
 The order of the weight-n table's cells is defined once, by table_cells;
 every walk over the table's cells reads it.
@@ -52,7 +65,11 @@ from .qpoly import (
     ZERO,
     exact_div_int,
     exact_div_qminus1_pow,
+    l1_norm,
+    pack,
+    pack_width,
     round_bracket,
+    unpack,
 )
 from .vertex import Q_lambda_vacuum, composition_sums, f_single, qbasis_expansion
 
@@ -198,31 +215,54 @@ def _merge_part(m: int, rest: Parts) -> list[tuple[int, Parts]]:
 
 
 @cache
-def _g_pieri(lam: Parts, mu: Parts) -> QPoly:
+def _pieri_factor(bits: int | None):
+    # f_t packed at q = 2^bits, or its L1 norm for bits None; the merge
+    # coefficients of _merge_part are all 1, so the f-sums of the L1 norms
+    # bound the L1 norms of the f-sums.  One function per width, so that
+    # composition_sums memoizes the f-sums once per width
+    @cache
+    def factor(t: int) -> int:
+        return l1_norm(f_single(t)) if bits is None else pack(f_single(t), bits)
+
+    return factor
+
+
+@cache
+def _pieri_strips(kappa: Parts, r: int) -> tuple[tuple[Parts, int], ...]:
+    # the strips of (kappa, r) serve the L1 run and every width
+    return tuple(pieri_strips(kappa, r))
+
+
+@cache
+def _g_pieri(lam: Parts, mu: Parts, bits: int | None) -> int:
+    # G(lam, mu) at q = 2^bits; for bits None, the same recursion on L1 norms
+    # with the signs dropped, which bounds every coefficient of G(lam, mu)
     if not lam:
-        return ONE
+        return 1
     n = weight(lam)
     body = lam[1:]
-    out = ZERO
+    out = 0
     for i in range(lam[0], n + 1):
-        strips = pieri_strips(body, i - lam[0])
+        strips = _pieri_strips(body, i - lam[0])
         if not strips:
             continue
-        sign = (-1) ** (i - lam[0])
-        for rest, f_sum in composition_sums(_merge_part, mu, i):
-            inner = ZERO
-            for xi, a in strips:
-                inner = inner + _g_pieri(xi, rest).scale(2**a)
-            out = out + (f_sum * inner).scale(sign)
+        sign = 1 if bits is None else (-1) ** (i - lam[0])
+        for rest, f_sum in composition_sums(_merge_part, mu, i, _pieri_factor(bits)):
+            inner = sum(_g_pieri(xi, rest, bits) << a for xi, a in strips)
+            out += sign * f_sum * inner
     return out
 
 
 def char_pieri(lam: Parts, mu: Parts) -> QPoly:
-    """Recursion on the indexing partition through the Pieri rule."""
+    """Recursion on the indexing partition through the Pieri rule, run on
+    L1 norms for a coefficient bound, then on values packed at q = 2^bits
+    with bits wide enough for that bound."""
     lam, mu = _validate(lam, mu)
     if not is_odd_partition(mu):
         raise ValueError(f"pieri rule needs odd mu, got {mu}")
-    return _finalize(_g_pieri(lam, mu), lam, mu)
+    bound = _g_pieri(lam, mu, None)
+    bits = pack_width(bound)
+    return _finalize(unpack(_g_pieri(lam, mu, bits), bits, bound), lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +280,41 @@ def char_one_row(mu: Parts) -> QPoly:
 
 
 @cache
+def _two_row_factor(m: int) -> tuple[QPoly, ...]:
+    # (m)_q (1 + v^m) + 2(q-1) sum_{0<j<m} (j)_q (m-j)_q v^j for m >= 1, by
+    # the power of v
+    middle = (
+        (round_bracket(j) * round_bracket(m - j)).scale(2) * QPoly((-1, 1)) for j in range(1, m)
+    )
+    return (round_bracket(m), *middle, round_bracket(m))
+
+
+@cache
 def _two_row_series(mu: Parts) -> tuple[QPoly, ...]:
-    """C(v), the product over the parts m of mu of
-    (m)_q (1 + v^m) + 2(q-1) sum_{0<j<m} (j)_q (m-j)_q v^j,
-    as q-polynomials indexed by the power of v.  The pairing G((k, n-k), mu)
-    is (2q-2)^{l(mu)} times signed tail sums of these coefficients, so the
+    """C(v), the product over the parts m of mu of _two_row_factor(m), as
+    q-polynomials indexed by the power of v; the series of mu without its
+    last part times that part's factor.  The pairing G((k, n-k), mu) is
+    (2q-2)^{l(mu)} times signed tail sums of these coefficients, so the
     character, G / (2 (q-1)^{l(mu)}), is 2^{l(mu)-1} times those sums."""
-    series: list[QPoly] = [ONE]
-    for part in mu:
-        factor: list[QPoly] = [ZERO] * (part + 1)
-        factor[0] = round_bracket(part)
-        factor[part] = factor[part] + round_bracket(part)
-        for j in range(1, part):
-            factor[j] = (
-                factor[j]
-                + (round_bracket(j) * round_bracket(part - j)).scale(2)
-                * QPoly((-1, 1))
-            )
-        new = [ZERO] * (len(series) + part)
-        for i, a in enumerate(series):
-            if a.is_zero():
-                continue
+    if not mu:
+        return (ONE,)
+    head, factor = _two_row_series(mu[:-1]), _two_row_factor(mu[-1])
+    series = [ZERO] * (len(head) + len(factor) - 1)
+    for i, a in enumerate(head):
+        if a:
             for j, b in enumerate(factor):
-                if not b.is_zero():
-                    new[i + j] = new[i + j] + a * b
-        series = new
+                if b:
+                    series[i + j] = series[i + j] + a * b
     return tuple(series)
+
+
+@cache
+def _two_row_tails(mu: Parts) -> tuple[QPoly, ...]:
+    # entry k is the signed tail sum of C(v) from v^k up, for k = 0 .. n + 1
+    tails = [ZERO]
+    for i, c in reversed(list(enumerate(_two_row_series(mu)))):
+        tails.append(tails[-1] + c.scale((-1) ** i))
+    return tuple(reversed(tails))
 
 
 def char_two_row(k: int, mu: Parts) -> QPoly:
@@ -277,15 +326,8 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
     n = weight(mu)
     if not (0 < n - k < k):
         raise BadShapeError(f"(k, n-k) = ({k},{n - k}) is not a two-row strict shape")
-    tail_k = ZERO
-    tail_k1 = ZERO
-    for i, c in enumerate(_two_row_series(mu)):
-        signed = c.scale((-1) ** i)
-        if i >= k:
-            tail_k = tail_k + signed
-        if i >= k + 1:
-            tail_k1 = tail_k1 + signed
-    return (tail_k + tail_k1).scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
+    tails = _two_row_tails(mu)
+    return (tails[k] + tails[k + 1]).scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
 
 
 def char_column(lam: Parts) -> QPoly:

@@ -293,6 +293,11 @@ def _closed_form_disagreements(n: int):
 
     for form, lam, mu, value in closed_forms():
         values = {f"{form} form": value, "combinatorial": characters.char_combinatorial(lam, mu)}
+        if form == "hook":
+            # the hook form reads gds_expansion, the combinatorial route's own
+            # first-step table, so a wrong strip weight there cancels out of the
+            # pairing above; the Pieri route reads no strip weight
+            values["pieri"] = characters.char_pieri(lam, mu)
         if failure := _disagreement(_cell(lam, mu), values):
             yield failure
 
@@ -424,8 +429,9 @@ def _at_q(text: str) -> Fraction:
 
 
 def _cmd_sbtr(args) -> int:
-    value = bitrace.sbtr(parse_parts(args.mu), parse_parts(args.nu))
+    # bad --at-q text is refused before the bitrace is computed
     at_q = None if args.at_q is None else _at_q(args.at_q)
+    value = bitrace.sbtr(parse_parts(args.mu), parse_parts(args.nu))
     try:
         print(value.to_text() if at_q is None else value.eval_at(at_q))
     except ValueError:  # CPython's 4300-digit limit on int-to-text conversion
@@ -477,7 +483,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonDivisibleError as exc:
+    except (NonDivisibleError, OverflowError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, ZeroDivisionError) as exc:

@@ -207,6 +207,57 @@ def exact_div_int(f: QPoly, d: int) -> QPoly:
     return QPoly(out)
 
 
+# ---------------------------------------------------------------------------
+# Kronecker packing: an integer polynomial as its value at q = 2^bits
+# (von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4)
+
+def _int_coeffs(f: QPoly) -> list[int]:
+    if any(c.denominator != 1 for c in f.coeffs):
+        raise NonDivisibleError(f"{f.to_text()} has a non-integral coefficient")
+    return [c.numerator for c in f.coeffs]
+
+
+def l1_norm(f: QPoly) -> int:
+    """The sum of the absolute values of the coefficients of the integer
+    polynomial f."""
+    return sum(abs(c) for c in _int_coeffs(f))
+
+
+def pack(f: QPoly, bits: int) -> int:
+    """The integer polynomial f evaluated at q = 2^bits."""
+    value = 0
+    for c in reversed(_int_coeffs(f)):
+        value = (value << bits) + c
+    return value
+
+
+def pack_width(bound: int) -> int:
+    """Bits per packed coefficient for coefficients of magnitude at most
+    bound: two spare bits, rounded up to a multiple of 16 so that values
+    with nearby bounds share one width."""
+    return (bound.bit_length() + 2 + 15) // 16 * 16
+
+
+def unpack(value: int, bits: int, bound: int) -> QPoly:
+    """The inverse of pack for coefficients of magnitude at most bound: the
+    balanced base-2^bits digits of value, each in [-2^(bits-1), 2^(bits-1)).
+    Raises OverflowError, returning nothing, when bits leaves fewer than two
+    spare bits above bound or a digit exceeds bound."""
+    if bits < bound.bit_length() + 2:
+        raise OverflowError(f"{bits} bits cannot hold coefficients up to {bound}")
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= mask + 1
+        if abs(digit) > bound:
+            raise OverflowError(f"packed coefficient {digit} exceeds its bound {bound}")
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return QPoly(digits)
+
+
 @cache
 def q_pow_minus_one(r: int) -> QPoly:
     """q^r - 1 for r >= 0."""

@@ -97,21 +97,30 @@ def f_single(i: int) -> QPoly:
 
 
 @cache
-def composition_sums(merge, parts: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
+def composition_sums(
+    merge, parts: Parts, k: int, factor=f_single
+) -> tuple[tuple[Parts, QPoly | int], ...]:
     """The sum of f_tau over the compositions tau of k with one entry per
     part, grouped by key.  Built from the last part forward: tau_1 = t gives
     f_t times each sum of (parts[1:], k - t), and merge(parts[0] - t, rest)
     turns that sum's key into [(coefficient, key), ...].  Zero sums are
-    dropped.  merge must be a fixed function: the sums are memoized per
-    (merge, parts, k), so equal suffixes of parts share them."""
+    dropped.  merge and factor must be fixed functions: the sums are
+    memoized per (merge, parts, k, factor), so equal suffixes of parts share
+    them.
+
+    factor(t) gives f_t in some commutative ring: as a QPoly by default, or
+    for example packed into an int at q = 2^B.  factor(0) is that ring's
+    one, and merge coefficients multiply into it as ints."""
     if not parts:
-        return (((), ONE),) if k == 0 else ()
-    sums: dict[Parts, QPoly] = {}
+        return (((), factor(0)),) if k == 0 else ()
+    sums = {}
     for t in range(k + 1):
-        for rest, value in composition_sums(merge, parts[1:], k - t):
+        f_t = factor(t)
+        for rest, value in composition_sums(merge, parts[1:], k - t, factor):
             for c, key in merge(parts[0] - t, rest):
-                sums[key] = sums.get(key, ZERO) + (f_single(t) * value).scale(c)
-    return tuple((key, value) for key, value in sums.items() if not value.is_zero())
+                term = f_t * value * c
+                sums[key] = sums[key] + term if key in sums else term
+    return tuple((key, value) for key, value in sums.items() if value)
 
 
 @cache

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
+from hcchar.characters import _merge_part
 from hcchar.gamma import GammaElement, apply_exp_partials
 from hcchar.partitions import (
     Parts,
@@ -15,11 +16,12 @@ from hcchar.partitions import (
     contains,
     multiplicities,
     odd_partitions_of,
+    pieri_strips,
     sort_desc,
     z_lambda,
 )
 from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, q_pow_minus_one
-from hcchar.vertex import f_single, straighten
+from hcchar.vertex import composition_sums, f_single, straighten
 
 
 @cache
@@ -285,6 +287,28 @@ def pieri_f_sums_by_composition(mu: Parts, i: int) -> dict[Parts, QPoly]:
         rest = sort_desc(m - t for m, t in zip(mu, tau))
         f_by_rest[rest] = f_by_rest.get(rest, ZERO) + f_coeff(tau)
     return f_by_rest
+
+
+@cache
+def g_pieri_qpoly(lam: Parts, mu: Parts) -> QPoly:
+    """Reference for characters._g_pieri: the Pieri recursion for the
+    unnormalized pairing G(lam, mu), unpacked, in QPoly arithmetic."""
+    if not lam:
+        return ONE
+    n = sum(lam)
+    body = lam[1:]
+    out = ZERO
+    for i in range(lam[0], n + 1):
+        strips = pieri_strips(body, i - lam[0])
+        if not strips:
+            continue
+        sign = (-1) ** (i - lam[0])
+        for rest, f_sum in composition_sums(_merge_part, mu, i):
+            inner = ZERO
+            for xi, a in strips:
+                inner = inner + g_pieri_qpoly(xi, rest).scale(2**a)
+            out = out + (f_sum * inner).scale(sign)
+    return out
 
 
 def apply_partial(n: int, a: GammaElement) -> GammaElement:

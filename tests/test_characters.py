@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hcchar import cli
 from hcchar.characters import (
     BadShapeError,
     NotGdsError,
     _finalize,
     _g_peel,
+    _g_pieri,
     _merge_part,
+    _pieri_factor,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -40,6 +43,8 @@ from hcchar.qpoly import (
     QPoly,
     ZERO,
     exact_div_qminus1_pow,
+    l1_norm,
+    pack,
     round_bracket,
 )
 from hcchar.vertex import composition_sums, f_single
@@ -47,6 +52,7 @@ from oracles import (
     coarsenings,
     determinant,
     f_coeff,
+    g_pieri_qpoly,
     partitions_of,
     pieri_f_sums_by_composition,
     sbs_principal_by_coarsenings,
@@ -148,6 +154,65 @@ def test_pieri_f_sums_match_composition_by_composition():
                 assert grouped == pieri_f_sums_by_composition(mu, i), (mu, i)
                 checked += 1
     assert checked == 2918
+
+
+def test_pieri_matches_the_unpacked_reference():
+    # the packed recursion against the same recursion in QPoly arithmetic,
+    # whose every coefficient stays within the L1 bound
+    for n in range(12):
+        for mu in odd_partitions_of(n):
+            for lam in strict_partitions_of(n):
+                reference = g_pieri_qpoly(lam, mu)
+                assert char_pieri(lam, mu) == _finalize(reference, lam, mu), (lam, mu)
+                bound = _g_pieri(lam, mu, None)
+                assert all(abs(c) <= bound for c in reference.coeffs), (lam, mu)
+
+
+def test_pieri_f_sums_pack_the_f_sums():
+    # composition_sums over packed f_t is the packing of the QPoly f-sums, and
+    # over L1 norms it bounds their L1 norms
+    for n in range(9):
+        for mu in odd_partitions_of(n):
+            for i in range(n + 1):
+                sums = composition_sums(_merge_part, mu, i)
+                for bits in (16, 48):
+                    packed = {rest: pack(f, bits) for rest, f in sums}
+                    assert dict(composition_sums(_merge_part, mu, i, _pieri_factor(bits))) == packed
+                l1 = dict(composition_sums(_merge_part, mu, i, _pieri_factor(None)))
+                assert all(l1_norm(f) <= l1[rest] for rest, f in sums), (mu, i)
+
+
+# (5, 3, 1) at (1^9): G has the coefficient 2709504 = 0x295800, 23 bits
+WIDE_CELL = ((5, 3, 1), (1,) * 9)
+
+
+def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys):
+    assert max(g_pieri_qpoly(*WIDE_CELL).coeffs) == 2709504
+    monkeypatch.setattr("hcchar.characters.pack_width", lambda bound: 16)
+    with pytest.raises(OverflowError, match="16 bits cannot hold"):
+        char_pieri(*WIDE_CELL)
+    # the command line reports it as an internal error, with no value
+    code = cli.main(["char", "--lambda", "5,3,1", "--mu", "1,1,1,1,1,1,1,1,1", "--method", "pieri"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err.startswith("internal error: 16 bits cannot hold coefficients up to ")
+
+
+@pytest.fixture
+def fresh_pieri_memos():
+    # the L1 run memoizes its bounds, so a patched norm must not leak out
+    for memo in (_g_pieri, _pieri_factor):
+        memo.cache_clear()
+    yield
+    for memo in (_g_pieri, _pieri_factor):
+        memo.cache_clear()
+
+
+def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_pieri_memos):
+    # an L1 run that under-counts: every f_t counted as norm 1
+    monkeypatch.setattr("hcchar.characters.l1_norm", lambda f: 1)
+    with pytest.raises(OverflowError, match="exceeds its bound"):
+        char_pieri(*WIDE_CELL)
 
 
 @st.composite

@@ -155,6 +155,37 @@ def test_sbtr_evaluates_at_q_exponents_up_to_4300(capsys, at_q):
     assert run(capsys, "sbtr", "--mu", "1", "--nu", "1", "--at-q", at_q) == (0, "2\n", "")
 
 
+def test_sbtr_refuses_bad_at_q_text_before_computing(capsys, monkeypatch):
+    def refusing_sbtr(mu, nu):
+        raise AssertionError("sbtr computed before --at-q was parsed")
+
+    monkeypatch.setattr(cli.bitrace, "sbtr", refusing_sbtr)
+    code, out, err = run(capsys, "sbtr", "--mu", "9,7,5,3,1", "--nu", "13,11,1", "--at-q", "abc")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --at-q must be a rational number of at most 4300 digits\n"
+
+
+# The benchmark's verify workload, as (argv, SHA-256 of its stdout).
+VERIFY_WORKLOAD_STDOUT = [
+    (("verify", "--suite", "tables", "--n-max", "7"),
+     "58e10c2b2a94e6d8d38d6c9ef7453802f940690b7bbe302cac9e2ab6552a76d1"),
+    (("verify", "--suite", "cross", "--n-max", "8"),
+     "37dd8a8af06abf842a07e1719f3a96337f02aadca0622726da702c805c11e47f"),
+    (("verify", "--suite", "symmetry", "--n-max", "8"),
+     "a13c150bd4be4adbf18c25bbeb15cd80c19183a99e9a15a07b4c2885fb5c45dd"),
+    (("verify", "--suite", "ortho", "--n-max", "6"),
+     "c3757308c97c629ea4f5bd54f6dedc06f419771d2a355e3046c30980cc60bac4"),
+]
+
+
+def test_verify_workload_output_is_pinned(capsys):
+    # a drift in any verify line of the benchmark's workload fails here by name
+    for argv, digest in VERIFY_WORKLOAD_STDOUT:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_verify_small(capsys):
     # the whole report, so any change of wording or order fails here by name
     code, out, err = run(capsys, "verify", "--n-max", "4", "--suite", "all")

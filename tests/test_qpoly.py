@@ -10,7 +10,11 @@ from hcchar.qpoly import (
     ZERO,
     exact_div_int,
     exact_div_qminus1_pow,
+    l1_norm,
+    pack,
+    pack_width,
     round_bracket,
+    unpack,
 )
 from oracles import square_bracket
 
@@ -78,6 +82,36 @@ def test_exact_div_int_roundtrip(f, d):
             exact_div_int(f.scale(d) + ONE, d)
     with pytest.raises(NonDivisibleError):
         exact_div_int(f + QPoly((Fraction(1, 2),)), 1)
+
+
+int_coeff = st.integers(-(2**70), 2**70) | st.sampled_from([0, 1, -1])
+int_polys = st.lists(int_coeff, max_size=8).map(QPoly)
+
+
+@given(int_polys, st.integers(0, 40))
+def test_pack_unpack_roundtrip(f, spare):
+    bound = max((abs(c.numerator) for c in f.coeffs), default=0)
+    assert l1_norm(f) == sum(abs(c) for c in f.coeffs)
+    # exactly two bits above the bound, and wider
+    for bits in (bound.bit_length() + 2, bound.bit_length() + 2 + spare, pack_width(bound)):
+        value = pack(f, bits)
+        assert value == f.eval_at(2**bits)
+        assert unpack(value, bits, bound) == f
+
+
+def test_packing_refuses_what_it_cannot_hold():
+    half = QPoly((1, Fraction(1, 2)))
+    for helper in (l1_norm, lambda f: pack(f, 8)):
+        with pytest.raises(NonDivisibleError, match="non-integral"):
+            helper(half)
+    f = QPoly((3, -200, 7))
+    assert pack_width(200) == 16 and pack_width(2**14) == 32
+    # one bit short of two spare bits above the bound
+    with pytest.raises(OverflowError):
+        unpack(pack(f, 9), 9, 200)
+    # wide enough, but a digit beyond the bound it was promised
+    with pytest.raises(OverflowError, match="-200 exceeds its bound 199"):
+        unpack(pack(f, 16), 16, 199)
 
 
 def test_eval_examples():
