@@ -1,17 +1,15 @@
 """Command-line interface: single character values, full tables in three
 output formats, spin bitrace values, and self-verification suites.
 
-Set HCCHAR_CACHE to a writable directory to persist computed tables as JSON;
-cache entries are cross-checked between two methods before being written
-and stored atomically, as a SHA-256 digest line followed by the body.  A
-file whose digest, schema, cell set or any cell read fails its check is
-ignored with one warning line on stderr, and the value is recomputed.
-Every read takes the whole file and checks each cell it serves; within one
-process, the decoded cells and the digest, schema and cell-set verdicts of
-a file are reused while the file's exact bytes stay the same.  A cache that
-cannot be written is an I/O error (exit status 4); a cross-check that finds
-the two methods disagreeing names the first differing cell, writes nothing
-and fails (exit status 1).
+Set HCCHAR_CACHE to a writable directory to persist the tables that
+``table`` computes as JSON; ``char`` always computes its value and never
+reads the cache.  Entries are cross-checked between two methods before
+being written and stored atomically, as a SHA-256 digest line followed by
+the body.  A file whose digest, schema, cell set or any cell fails its
+check is ignored with one warning line on stderr, and the table is
+recomputed.  A cache that cannot be written is an I/O error (exit status
+4); a cross-check that finds the two methods disagreeing names the first
+differing cell, writes nothing and fails (exit status 1).
 """
 
 from __future__ import annotations
@@ -28,13 +26,10 @@ from . import bitrace, characters, golden
 from .partitions import (
     Parts,
     format_parts,
-    is_odd_partition,
     nonzero_length,
     odd_partitions_of,
     parse_parts,
-    sort_desc,
     strict_partitions_of,
-    weight,
     z_lambda,
 )
 from .qpoly import NonDivisibleError, QPoly
@@ -98,58 +93,37 @@ def _checked_cell(n: int, lam: Parts, mu: Parts, raw) -> QPoly:
     return value
 
 
-def _checked_index(n: int, data: bytes) -> dict:
-    """The raw cells of the bytes of a cache file of weight n, keyed by
-    (lambda, mu), once the digest, schema and cell-set checks pass; a
-    ``ValueError`` otherwise."""
-    head, _, body = data.partition(b"\n")
-    if _digest(body) != head:
-        raise ValueError(
-            "content digest mismatch" if len(head) == 64 else "no content digest line"
-        )
-    payload = json.loads(body)
-    schema = (payload.get("version"), payload.get("n")) if isinstance(payload, dict) else None
-    if schema != (CACHE_VERSION, n):
-        raise ValueError("cache schema mismatch")
-    raw = payload.get("cells")
-    try:
-        index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in raw}
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed cell list ({exc!r})") from exc
-    if len(index) != len(raw) or index.keys() != set(characters.table_cells(n)):
-        raise ValueError("cache cell set mismatch")
-    return index
-
-
-# cache path -> (file bytes, _checked_index of them) for the last file read
-# there that passed those checks.  The checks depend on the bytes alone, so a
-# read of equal bytes reuses the index; any other bytes are checked afresh.
-_checked_files: dict[str, tuple[bytes, dict]] = {}
-
-
-def load_cached_table(n: int, cells=None) -> dict[tuple[Parts, Parts], QPoly] | None:
-    """The requested (lambda, mu) cells of the cached table of weight n, every
-    cell when ``cells`` is None, each converted and checked.  None on a miss
-    or when the file or a requested cell is rejected, with one warning line
-    on stderr.  A requested key that is not a cell of the table is absent.
-
-    Every call reads the file and checks each cell it returns; the digest,
-    schema and cell-set checks and the JSON decoding run again only when the
-    bytes differ from those last accepted at this path in this process."""
+def load_cached_table(n: int) -> dict[tuple[Parts, Parts], QPoly] | None:
+    """Every (lambda, mu) cell of the cached table of weight n, each converted
+    and checked, once the digest, schema and cell-set checks pass.  None on a
+    miss or when the file or any cell is rejected, with one warning line on
+    stderr."""
     path = _cache_path(n)
     if path is None or not os.path.exists(path):
         return None
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
-        checked = _checked_files.get(path)
-        if checked is None or checked[0] != data:
-            checked = _checked_files[path] = (data, _checked_index(n, data))
-        index = checked[1]
-        keys = index if cells is None else [key for key in cells if key in index]
-        return {key: _checked_cell(n, *key, index[key]) for key in keys}
+            head, _, body = handle.read().partition(b"\n")
+        if _digest(body) != head:
+            raise ValueError(
+                "content digest mismatch" if len(head) == 64 else "no content digest line"
+            )
+        try:
+            payload = json.loads(body)
+        except RecursionError:  # nested deeper than the decoder recurses
+            raise ValueError("undecodable JSON body") from None
+        schema = (payload.get("version"), payload.get("n")) if isinstance(payload, dict) else None
+        if schema != (CACHE_VERSION, n):
+            raise ValueError("cache schema mismatch")
+        raw = payload.get("cells")
+        try:
+            index = {(tuple(cell["lambda"]), tuple(cell["mu"])): cell["poly"] for cell in raw}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed cell list ({exc!r})") from exc
+        if len(index) != len(raw) or index.keys() != set(characters.table_cells(n)):
+            raise ValueError("cache cell set mismatch")
+        return {key: _checked_cell(n, *key, poly) for key, poly in index.items()}
     except (OSError, ValueError) as exc:  # unreadable, undecodable or failing a check
-        _checked_files.pop(path, None)
         print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
         return None
 
@@ -384,12 +358,7 @@ def run_verify(n_max: int, suite: str) -> int:
 def _cmd_char(args) -> int:
     lam = parse_parts(args.lam)
     mu = parse_parts(args.mu)
-    key = (lam, sort_desc(mu))
-    cached = None
-    if args.method == "auto" and is_odd_partition(key[1]):
-        cached = (load_cached_table(weight(lam), [key]) or {}).get(key)
-    value = cached if cached is not None else characters.char_value(lam, mu, args.method)
-    print(value.to_text())
+    print(characters.char_value(lam, mu, args.method).to_text())
     return EXIT_OK
 
 

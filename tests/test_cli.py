@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -288,10 +289,6 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     code, warm, _ = run(capsys, "table", "--n", "4", "--format", "json")
     assert code == 0 and warm == cold
 
-    # char consults the cache for odd classes
-    code, out, _ = run(capsys, "char", "--lambda", "3,1", "--mu", "3,1")
-    assert code == 0 and out.strip() == "2*q^2 - 6*q + 2"
-
     # corrupt entries are ignored and recomputed
     cache_file.write_text("{not json")
     code, again, _ = run(capsys, "table", "--n", "4", "--format", "json")
@@ -385,11 +382,11 @@ def _set_cell(text: str, lam: str, mu: str, coeffs: str) -> str:
 
 def test_edited_cache_cell_is_not_served(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    assert run(capsys, "table", "--n", "5")[0] == 0
+    _, cold, _ = run(capsys, "table", "--n", "5")
     cache_file = tmp_path / "chartable_n5.json"
     cache_file.write_text(_set_cell(cache_file.read_text(), "5", "5", "[[999, 1]]"))
-    code, out, err = run(capsys, "char", "--lambda", "5", "--mu", "5")
-    assert code == 0 and out == "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2\n"
+    code, out, err = run(capsys, "table", "--n", "5")
+    assert code == 0 and out == cold
     assert err == f"warning: ignoring cache file {cache_file}: content digest mismatch\n"
 
 
@@ -426,13 +423,9 @@ def test_cached_cell_failing_its_invariants_is_recomputed(
     cache_file.write_text(hashlib.sha256(body.encode()).hexdigest() + "\n" + body)
     warning = f"warning: ignoring cache file {cache_file}: lambda=5, mu=5: "
 
-    code, out, err = run(capsys, "char", "--lambda", "5", "--mu", "5")
-    assert code == 0 and out == "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2\n"
-    assert err.startswith(warning) and reason in err and err.count("\n") == 1
-
     code, out, err = run(capsys, "table", "--n", "5", "--format", "json")
     assert code == 0 and out == cold
-    assert err.startswith(warning) and err.count("\n") == 1
+    assert err.startswith(warning) and reason in err and err.count("\n") == 1
     assert cache_file.read_text() == hashlib.sha256(cold.encode()).hexdigest() + "\n" + cold
 
 
@@ -458,13 +451,9 @@ def test_cached_cell_differing_from_its_closed_form_is_recomputed(
     _write_with_digest(cache_file, _set_cell(cold, *as_json, "[[2, 1]]"))
     warning = f"warning: ignoring cache file {cache_file}: lambda={lam}, mu={mu}: "
 
-    code, out, err = run(capsys, "char", "--lambda", lam, "--mu", mu)
-    assert (code, out) == (0, value + "\n")
-    assert err == warning + f"value 2, {form} form gives {value}\n"
-
     code, out, err = run(capsys, "table", "--n", "5", "--format", "json")
     assert code == 0 and out == cold
-    assert err.startswith(warning) and err.count("\n") == 1
+    assert err == warning + f"value 2, {form} form gives {value}\n"
     assert cache_file.read_text() == hashlib.sha256(cold.encode()).hexdigest() + "\n" + cold
 
 
@@ -475,9 +464,17 @@ def test_load_rejects_the_whole_table_for_one_bad_cell(tmp_path, capsys, monkeyp
     cache_file = tmp_path / "chartable_n5.json"
     _write_with_digest(cache_file, _set_cell(cold, "4, 1", "3, 1, 1", "[[1, 2]]"))
     assert cli.load_cached_table(5) is None
-    good = ((5,), (5,))
-    assert cli.load_cached_table(5, [good]) == {good: golden_table(5)[good]}
     assert capsys.readouterr().err.count("warning: ignoring cache file") == 1
+
+
+def test_wrong_cell_passing_every_check_is_served(tmp_path, capsys, monkeypatch):
+    # what stays unchecked: the constant 2 is integer, palindromic, within
+    # the degree bound and in no closed form's domain, under a fresh digest
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
+    edited = _set_cell(cold, "4, 1", "3, 1, 1", "[[2, 1]]")
+    _write_with_digest(tmp_path / "chartable_n5.json", edited)
+    assert run(capsys, "table", "--n", "5", "--format", "json") == (0, edited, "")
 
 
 @pytest.mark.parametrize(
@@ -502,35 +499,46 @@ def test_cache_file_failing_a_whole_file_check_is_recomputed(
     edit(payload)
     _write_with_digest(cache_file, json.dumps(payload))
     warning = f"warning: ignoring cache file {cache_file}: {reason}\n"
-
-    code, out, err = run(capsys, "char", "--lambda", "5", "--mu", "5")
-    assert (code, out, err) == (0, "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2\n", warning)
-
     assert run(capsys, "table", "--n", "5", "--format", "json") == (0, cold, warning)
     assert cache_file.read_text() == hashlib.sha256(cold.encode()).hexdigest() + "\n" + cold
 
 
-def test_char_outside_the_table_misses_the_warm_cache(tmp_path, capsys, monkeypatch):
+def test_cache_body_nested_past_the_decoder_depth_is_recomputed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    assert run(capsys, "table", "--n", "4")[0] == 0
-    assert cli.load_cached_table(4, [((2, 2), (3, 1))]) == {}
-    code, out, err = run(capsys, "char", "--lambda", "2,2", "--mu", "3,1")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "warning" not in err
+    _, cold, _ = run(capsys, "table", "--n", "3", "--format", "json")
+    cache_file = tmp_path / "chartable_n3.json"
+    _write_with_digest(cache_file, "[" * 100_000 + "]" * 100_000)
+    warning = f"warning: ignoring cache file {cache_file}: undecodable JSON body\n"
+    assert run(capsys, "table", "--n", "3", "--format", "json") == (0, cold, warning)
+
+
+def _probe(statement: str, **env: str) -> tuple[str, str, bool]:
+    # runs statement in a fresh interpreter that has imported hcchar.cli:
+    # its stdout and stderr, and whether hashlib was imported by then
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import hcchar.cli; {statement}; "
+        "print('hashlib' in sys.modules)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-I", "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, **env},
+    )
+    *lines, loaded = child.stdout.splitlines(keepends=True)
+    return "".join(lines), child.stderr, loaded == "True\n"
 
 
 def test_importing_the_cli_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, about 3.7 MB of resident memory; only a cache
     # read or write may import it
-    src = str(Path(cli.__file__).resolve().parents[1])
-    probe = (
-        f"import sys; sys.path.insert(0, {src!r}); "
-        "import hcchar.cli; print('hashlib' in sys.modules)"
-    )
-    child = subprocess.run(
-        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
-    )
-    assert child.stdout == "False\n"
+    assert _probe("pass") == ("", "", False)
+
+
+def test_char_does_not_read_the_cache(tmp_path):
+    (tmp_path / "chartable_n5.json").write_text("{not json")
+    char = "hcchar.cli.main(['char', '--lambda', '5', '--mu', '5'])"
+    value = "2*q^4 - 2*q^3 + 2*q^2 - 2*q + 2\n"
+    assert _probe(char, **{cli.CACHE_ENV: str(tmp_path)}) == (value, "", False)
 
 
 def test_cache_load_does_not_hide_programming_errors(tmp_path, capsys, monkeypatch):
@@ -542,23 +550,7 @@ def test_cache_load_does_not_hide_programming_errors(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli.characters, "table_cells", broken)
     with pytest.raises(RuntimeError, match="synthetic bug"):
-        cli.main(["char", "--lambda", "3", "--mu", "3"])
-
-
-def test_char_cache_hit_converts_one_cell(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    assert run(capsys, "table", "--n", "6")[0] == 0
-    calls = []
-    from_json = QPoly.from_json
-
-    def counting(data):
-        calls.append(data)
-        return from_json(data)
-
-    monkeypatch.setattr(QPoly, "from_json", staticmethod(counting))
-    code, out, err = run(capsys, "char", "--lambda", "4,2", "--mu", "3,3")
-    assert (code, out, err) == (0, "4*q^4 - 16*q^3 + 28*q^2 - 16*q + 4\n", "")
-    assert len(calls) == 1
+        cli.main(["table", "--n", "3"])
 
 
 def test_repeated_main_calls_match_fresh_calls(capsys):
@@ -577,82 +569,3 @@ def test_repeated_main_calls_match_fresh_calls(capsys):
         fresh.append(run(capsys, *argv))
     assert in_turn == fresh
     assert [code for code, _, _ in in_turn] == [0, 2, 2, 0, 0]
-
-
-def test_warm_char_hits_decode_the_cache_file_once(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
-    calls = []
-    loads = json.loads
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return loads(*args, **kwargs)
-
-    monkeypatch.setattr(cli.json, "loads", counting)
-    golden = golden_table(5)
-    cells = list(golden)
-    for i in range(50):
-        lam, mu = cells[i % len(cells)]
-        code, out, err = run(capsys, "char", "--lambda", ",".join(map(str, lam)),
-                             "--mu", ",".join(map(str, mu)))
-        assert (code, out, err) == (0, golden[(lam, mu)].to_text() + "\n", "")
-    assert len(calls) == 1
-    for _ in range(2):
-        assert run(capsys, "table", "--n", "5", "--format", "json") == (0, cold, "")
-    assert len(calls) == 1
-
-
-def _warm(capsys, monkeypatch, cache_dir):
-    # a cold table write, then one char hit that decodes the file
-    monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
-    _, cold, _ = run(capsys, "table", "--n", "5", "--format", "json")
-    assert run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1") == (0, "8*q^2 - 16*q + 8\n", "")
-    return cache_dir / "chartable_n5.json", cold
-
-
-def test_changed_cache_file_is_checked_afresh_after_a_warm_load(tmp_path, capsys, monkeypatch):
-    cache_file, cold = _warm(capsys, monkeypatch, tmp_path)
-
-    # a different value that passes every check is what the file now holds
-    _write_with_digest(cache_file, _set_cell(cold, "4, 1", "3, 1, 1", "[[2, 1]]"))
-    assert run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1") == (0, "2\n", "")
-
-    # a value failing the per-cell checks is rejected, not served from memory
-    _write_with_digest(cache_file, _set_cell(cold, "4, 1", "3, 1, 1", "[[1, 2]]"))
-    code, out, err = run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1")
-    assert (code, out) == (0, "8*q^2 - 16*q + 8\n")
-    assert err.startswith(f"warning: ignoring cache file {cache_file}: lambda=4,1, mu=3,1,1: ")
-    assert err.count("\n") == 1
-    assert str(cache_file) not in cli._checked_files
-
-    # a corrupted digest line under the body of the last accepted file
-    _write_with_digest(cache_file, cold)
-    assert run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1") == (0, "8*q^2 - 16*q + 8\n", "")
-    digest, body = cache_file.read_text().split("\n", 1)
-    cache_file.write_text(("0" if digest[0] != "0" else "1") + digest[1:] + "\n" + body)
-    code, out, err = run(capsys, "char", "--lambda", "4,1", "--mu", "3,1,1")
-    assert (code, out) == (0, "8*q^2 - 16*q + 8\n")
-    assert err == f"warning: ignoring cache file {cache_file}: content digest mismatch\n"
-
-
-def test_decoded_cache_files_are_kept_one_per_path(tmp_path, capsys, monkeypatch):
-    file_a, cold = _warm(capsys, monkeypatch, tmp_path / "a")
-    file_b, _ = _warm(capsys, monkeypatch, tmp_path / "b")
-    _write_with_digest(file_b, _set_cell(cold, "4, 1", "3, 1, 1", "[[2, 1]]"))
-    cell = ((4, 1), (3, 1, 1))
-    values = {tmp_path / "a": QPoly((8, -16, 8)), tmp_path / "b": QPoly((2,))}
-
-    def kept():
-        return sorted(path for path in cli._checked_files if path.startswith(str(tmp_path)))
-
-    for _ in range(2):
-        for cache_dir, value in values.items():
-            monkeypatch.setenv(cli.CACHE_ENV, str(cache_dir))
-            assert cli.load_cached_table(5, [cell]) == {cell: value}
-        assert kept() == [str(file_a), str(file_b)]
-
-    file_b.write_text("{not json")
-    assert cli.load_cached_table(5) is None
-    assert kept() == [str(file_a)]
-    assert capsys.readouterr().err.count("warning: ignoring cache file") == 1
