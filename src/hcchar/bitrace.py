@@ -43,9 +43,12 @@ _D = (
 def alpha(n: int) -> QPoly:
     """The alpha polynomials, from their generating function
     sum_n alpha_n z^n = D(-z)/D(z): alpha_n = (-1)^n D_n minus the sum over
-    j = 1..4 of D_j alpha_{n-j}, with D_n = 0 for n > 4."""
+    j = 1..4 of D_j alpha_{n-j}, with D_n = 0 for n > 4.  The lower indices
+    are filled first, so the recursion stays two calls deep whatever n is."""
     if n < 0:
         return ZERO
+    for m in range(n):
+        alpha(m)
     out = _D[n].scale((-1) ** n) if n < len(_D) else ZERO
     for j in range(1, len(_D)):
         out = out - _D[j] * alpha(n - j)

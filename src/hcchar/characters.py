@@ -29,8 +29,10 @@ a width or digit beyond the bound raises instead of returning a value.  The
 oracle and the peel stay on QPoly, the unpacked reference the packing is
 checked against.
 
-The order of the weight-n table's cells is defined once, by table_cells;
-every walk over the table's cells reads it.
+The order of the weight-n table's cells is defined once, by table_cells.
+char_table, the JSON rendering, the cache's cell-set check and the cell
+loops of the cross and symmetry suites read it; the CSV and LaTeX renderings
+lay out the same order row by row from the two partition lists.
 """
 
 from __future__ import annotations
@@ -228,12 +230,6 @@ def _pieri_factor(bits: int | None):
 
 
 @cache
-def _pieri_strips(kappa: Parts, r: int) -> tuple[tuple[Parts, int], ...]:
-    # the strips of (kappa, r) serve the L1 run and every width
-    return tuple(pieri_strips(kappa, r))
-
-
-@cache
 def _g_pieri(lam: Parts, mu: Parts, bits: int | None) -> int:
     # G(lam, mu) at q = 2^bits; for bits None, the same recursion on L1 norms
     # with the signs dropped, which bounds every coefficient of G(lam, mu)
@@ -243,7 +239,7 @@ def _g_pieri(lam: Parts, mu: Parts, bits: int | None) -> int:
     body = lam[1:]
     out = 0
     for i in range(lam[0], n + 1):
-        strips = _pieri_strips(body, i - lam[0])
+        strips = pieri_strips(body, i - lam[0])
         if not strips:
             continue
         sign = 1 if bits is None else (-1) ** (i - lam[0])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb
 
 from .partitions import (
     Parts,
@@ -62,13 +62,6 @@ class GammaElement:
         for k, v in other.terms.items():
             out[k] = out.get(k, ZERO) + v
         return GammaElement(out)
-
-    def scale(self, c) -> "GammaElement":
-        if isinstance(c, QPoly):
-            if c.is_zero():
-                return GammaElement()
-            return GammaElement({k: v * c for k, v in self.terms.items()})
-        return GammaElement({k: v.scale(c) for k, v in self.terms.items()})
 
     def __mul__(self, other: "GammaElement") -> "GammaElement":
         out: dict[Parts, QPoly] = {}
@@ -149,18 +142,12 @@ def _sub_multisets(rho: Parts, k: int):
             yield (part,) * j + sigma, (part,) * (m - j) + rest, comb(m, j) * count
 
 
-@cache
-def _weight_product(weight, sigma: Parts) -> QPoly:
-    return prod(map(weight, sigma), start=ONE)
-
-
-def apply_exp_partials(k: int, a: GammaElement, weight) -> GammaElement:
-    """Degree-k component of exp(sum over odd n of weight(n) d/dp_n z^{-n})
-    applied to a.  Commuting derivations exponentiate to the translation
-    p_n -> p_n + weight(n) z^{-n}, as exp(c d/dx) f(x) = f(x + c), so p_rho
-    goes to the sum over the sub-multisets sigma of rho with |sigma| = k of
-    prod_j C(m_j(rho), m_j(sigma)) prod_{s in sigma} weight(s) p_{rho - sigma}.
-    weight must be a fixed function: products are memoized per (weight, sigma)."""
+def apply_exp_partials(k: int, a: GammaElement) -> GammaElement:
+    """Degree-k component of exp(-sum over odd n of d/dp_n z^{-n}) applied
+    to a.  Commuting derivations exponentiate to the translation
+    p_n -> p_n - z^{-n}, as exp(c d/dx) f(x) = f(x + c), so p_rho goes to
+    the sum over the sub-multisets sigma of rho with |sigma| = k of
+    (-1)^{l(sigma)} prod_j C(m_j(rho), m_j(sigma)) p_{rho - sigma}."""
     if k == 0:
         return a
     if k < 0:
@@ -168,6 +155,6 @@ def apply_exp_partials(k: int, a: GammaElement, weight) -> GammaElement:
     out: dict[Parts, QPoly] = {}
     for rho, coeff in a.terms.items():
         for sigma, rest, count in _sub_multisets(rho, k):
-            value = (coeff * _weight_product(weight, sigma)).scale(count)
+            value = coeff.scale(-count if len(sigma) % 2 else count)
             out[rest] = out.get(rest, ZERO) + value
     return GammaElement(out)

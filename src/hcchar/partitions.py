@@ -248,16 +248,17 @@ def a_statistic(lam: Parts, mu: Parts) -> int:
     return sum(1 for col in occupied if col + 1 not in occupied)
 
 
-def pieri_strips(kappa: Parts, r: int) -> list[tuple[Parts, int]]:
+@cache
+def pieri_strips(kappa: Parts, r: int) -> tuple[tuple[Parts, int], ...]:
     """Strict xi inside the strict partition kappa with kappa/xi a horizontal
     r-strip, each paired with a(kappa/xi).  Inside kappa, the strip is
     horizontal exactly when xi interlaces: xi_i >= kappa_{i+1}, xi padded
     with zeros."""
-    return [
+    return tuple(
         (xi, a_statistic(kappa, xi))
         for xi in strict_subpartitions(kappa, weight(kappa) - r)
         if all(x >= k for x, k in zip(xi + (0,) * len(kappa), kappa[1:]))
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------

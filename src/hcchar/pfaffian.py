@@ -33,16 +33,6 @@ class AntisymMatrix:
             if not v.is_zero():
                 self.upper[(i, j)] = v
 
-    def entry(self, i: int, j: int) -> QPoly:
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.upper.get((i, j), ZERO)
-        return -self.upper.get((j, i), ZERO)
-
-    def rows(self) -> list[list[QPoly]]:
-        return [[self.entry(i, j) for j in range(self.size)] for i in range(self.size)]
-
 
 def pfaffian(a: AntisymMatrix) -> QPoly:
     """Recursive first-row expansion with memoization on index subsets."""

@@ -15,11 +15,6 @@ from .qpoly import ONE, QPoly, ZERO, round_bracket
 # ---------------------------------------------------------------------------
 # creation-operator action in the power-sum basis
 
-def _annihilation_weight(n: int) -> QPoly:
-    # exp(-sum over odd n of d/dp_n z^{-n}): every derivative has weight -1
-    return -ONE
-
-
 def apply_Q_m(m: int, a: GammaElement) -> GammaElement:
     """The z^m component of the vertex operator applied to a.
 
@@ -28,7 +23,7 @@ def apply_Q_m(m: int, a: GammaElement) -> GammaElement:
     """
     out = GammaElement.zero()
     for j in range(max(0, -m), a.degree() + 1):
-        lowered = apply_exp_partials(j, a, _annihilation_weight)
+        lowered = apply_exp_partials(j, a)
         if lowered.is_zero():
             continue
         out = out + expand_q_n(m + j) * lowered

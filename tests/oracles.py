@@ -6,7 +6,7 @@ from functools import cache
 from math import factorial
 
 from hcchar.characters import _merge_part
-from hcchar.gamma import GammaElement, apply_exp_partials
+from hcchar.gamma import GammaElement
 from hcchar.partitions import (
     Parts,
     SkewClassification,
@@ -20,6 +20,7 @@ from hcchar.partitions import (
     sort_desc,
     z_lambda,
 )
+from hcchar.pfaffian import AntisymMatrix
 from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, q_pow_minus_one
 from hcchar.vertex import composition_sums, f_single, straighten
 
@@ -113,9 +114,14 @@ def alpha_direct_sum(n: int) -> QPoly:
     return out
 
 
+def scaled(a: GammaElement, c) -> GammaElement:
+    """a with every coefficient multiplied by the scalar or polynomial c."""
+    return GammaElement({rho: v * c for rho, v in a.terms.items()})
+
+
 def apply_g_star_pbasis(k: int, a: GammaElement) -> GammaElement:
     """Degree-k component of exp(sum over odd n of (t^n - 1) d/dp_n z^{-n})."""
-    return apply_exp_partials(k, a, q_pow_minus_one)
+    return apply_exp_partials_by_derivatives(k, a, q_pow_minus_one)
 
 
 def principal_specialize(a: GammaElement) -> QPoly:
@@ -127,6 +133,20 @@ def principal_specialize(a: GammaElement) -> QPoly:
             factor = factor * q_pow_minus_one(part)
         out = out + coeff * factor
     return out
+
+
+def antisym_entry(matrix: AntisymMatrix, i: int, j: int) -> QPoly:
+    """Entry (i, j) of an antisymmetric matrix, read from its upper triangle."""
+    if i == j:
+        return ZERO
+    if i < j:
+        return matrix.upper.get((i, j), ZERO)
+    return -matrix.upper.get((j, i), ZERO)
+
+
+def antisym_rows(matrix: AntisymMatrix) -> list[list[QPoly]]:
+    """Every row of an antisymmetric matrix, for the determinant."""
+    return [[antisym_entry(matrix, i, j) for j in range(matrix.size)] for i in range(matrix.size)]
 
 
 def determinant(rows: list[list[QPoly]]) -> QPoly:
@@ -340,8 +360,10 @@ def _exp_coefficient(weight, sigma: Parts) -> QPoly:
 
 
 def apply_exp_partials_by_derivatives(k: int, a: GammaElement, weight) -> GammaElement:
-    """Reference for gamma.apply_exp_partials: the degree-k term of the
-    exponential series, one chain of derivatives d/dp_sigma per odd
+    """The degree-k term of exp(sum over odd n of weight(n) d/dp_n z^{-n})
+    applied to a: the reference for gamma.apply_exp_partials at weight -1,
+    and the g* operator at weight t^n - 1.  The exponential series is taken
+    term by term, one chain of derivatives d/dp_sigma per odd
     partition sigma of k, divided by prod_j m_j(sigma)!."""
     if k == 0:
         return a
@@ -354,6 +376,5 @@ def apply_exp_partials_by_derivatives(k: int, a: GammaElement, weight) -> GammaE
             partial = apply_partial(part, partial)
             if partial.is_zero():
                 break
-        if not partial.is_zero():
-            out = out + partial.scale(_exp_coefficient(weight, sigma))
+        out = out + scaled(partial, _exp_coefficient(weight, sigma))
     return out

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from math import factorial
 
 import pytest
@@ -31,6 +33,20 @@ def test_alpha_recursion_matches_direct_sum():
         value = alpha(n)
         assert value == alpha_direct_sum(n), n
         assert value.has_integer_coeffs()
+
+
+def test_alpha_depth_is_bounded_whatever_n_is():
+    # a stack 50 frames above this one would overflow in a recursion one
+    # level per unit of n; alpha fills its lower indices first instead
+    n = 101
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        value = sbtr((n,), (n,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value.eval_at(1) == 2 * n
 
 
 def test_alpha_direct_sum_rejects_a_non_integral_sum(monkeypatch):

@@ -225,10 +225,10 @@ def test_strict_subpartitions_match_the_oracle_in_order():
 
 
 def test_pieri_examples():
-    assert pieri_strips((2,), 1) == [((1,), 1)]
-    assert pieri_strips((), 0) == [((), 0)]
-    assert pieri_strips((3, 1), -1) == []
-    assert pieri_strips((3, 1), 5) == []
+    assert pieri_strips((2,), 1) == (((1,), 1),)
+    assert pieri_strips((), 0) == (((), 0),)
+    assert pieri_strips((3, 1), -1) == ()
+    assert pieri_strips((3, 1), 5) == ()
     assert a_statistic((2,), (1,)) == 1
 
 

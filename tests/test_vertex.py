@@ -19,7 +19,7 @@ from hcchar.vertex import (
     qbasis_expansion,
     straighten,
 )
-from oracles import apply_g_star_pbasis, f_coeff, qbasis_expansion_by_composition
+from oracles import apply_g_star_pbasis, f_coeff, qbasis_expansion_by_composition, scaled
 
 
 def test_apply_Q_m_examples():
@@ -59,7 +59,7 @@ def test_straighten_matches_oracle_exhaustively():
         for seq in itertools.product(range(-3, 7), repeat=length):
             combo = GammaElement.zero()
             for nu, c in straighten(seq).items():
-                combo = combo + Q_lambda_vacuum(nu).scale(c)
+                combo = combo + scaled(Q_lambda_vacuum(nu), c)
             assert combo == _oracle_word(seq), seq
 
 
@@ -156,7 +156,7 @@ def test_clifford_anticommutation():
             for a in elements:
                 lhs = apply_Q_m(m, apply_Q_m(n, a)) + apply_Q_m(n, apply_Q_m(m, a))
                 if m == -n:
-                    expect = a.scale(2 * (-1) ** n)
+                    expect = scaled(a, 2 * (-1) ** n)
                 else:
                     expect = GammaElement.zero()
                 assert lhs == expect, (m, n)
@@ -171,7 +171,7 @@ def test_g_star_pbasis_matches_Qbasis():
                 lhs = apply_g_star_pbasis(k, Q_lambda_vacuum(lam))
                 rhs = GammaElement.zero()
                 for nu, coeff in qbasis_expansion(lam, k):
-                    rhs = rhs + Q_lambda_vacuum(nu).scale(coeff)
+                    rhs = rhs + scaled(Q_lambda_vacuum(nu), coeff)
                 assert lhs == rhs, (lam, k)
 
 
