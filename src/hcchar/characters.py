@@ -6,12 +6,19 @@ recursion on the Q-basis, a Pfaffian expansion, a strip-weight recursion,
 and a Pieri-rule recursion on the indexing partition.  Closed forms cover
 one-row, two-row, one-column and hook class types.
 
+Every route but the strip-weight recursion takes every class mu; that one
+needs odd mu.  char_value's auto method picks the strip-weight recursion
+for odd mu and the Pieri recursion otherwise.
+
 What the routes share: the recursive, pfaffian and combinatorial routes
 run one peel, _g_peel, over three lowering-step tables, so only the oracle
-and Pieri check the peel itself.  The Q-basis lowering step and the Pieri
+and Pieri check the peel itself; the table cache checks its tables against
+Pieri for the same reason.  The Q-basis lowering step and the Pieri
 recursion take their sums of f-products over compositions from
-vertex.composition_sums; the value of a shifted border strip is a
-recursion on the top block of its coarsenings.
+vertex.composition_sums: Pieri with each slot bounded by its part of mu,
+the lowering step with every slot free, since its negative parts
+straighten.  The value of a shifted border strip is a recursion on the top
+block of its coarsenings.
 
 All internal recursions work with the unnormalized pairing G(lam, mu); all
 five routes, the oracle and Pieri included, then share one normalization,
@@ -211,9 +218,9 @@ def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
 
 
 def _merge_part(m: int, rest: Parts) -> list[tuple[int, Parts]]:
-    # mu_1 - tau_1 joins the partition the later parts leave; a negative
-    # difference is a tau_1 above its bound mu_1
-    return [(1, sort_desc((m,) + rest))] if m >= 0 else []
+    # mu_1 - tau_1 joins the partition the later parts leave; composition_sums
+    # bounds tau_1 by mu_1, so the difference is never negative
+    return [(1, sort_desc((m,) + rest))]
 
 
 @cache
@@ -243,7 +250,8 @@ def _g_pieri(lam: Parts, mu: Parts, bits: int | None) -> int:
         if not strips:
             continue
         sign = 1 if bits is None else (-1) ** (i - lam[0])
-        for rest, f_sum in composition_sums(_merge_part, mu, i, _pieri_factor(bits)):
+        sums = composition_sums(_merge_part, mu, i, _pieri_factor(bits), negative_parts=False)
+        for rest, f_sum in sums:
             inner = sum(_g_pieri(xi, rest, bits) << a for xi, a in strips)
             out += sign * f_sum * inner
     return out
@@ -254,8 +262,6 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
     L1 norms for a coefficient bound, then on values packed at q = 2^bits
     with bits wide enough for that bound."""
     lam, mu = _validate(lam, mu)
-    if not is_odd_partition(mu):
-        raise ValueError(f"pieri rule needs odd mu, got {mu}")
     bound = _g_pieri(lam, mu, None)
     bits = pack_width(bound)
     return _finalize(unpack(_g_pieri(lam, mu, bits), bits, bound), lam, mu)
@@ -358,12 +364,14 @@ METHODS = {
 
 
 def char_value(lam: Parts, mu: Parts, method: str = "auto") -> QPoly:
-    """Compute one character value with the chosen method (auto picks the
-    strip-weight recursion for odd mu, the Q-basis recursion otherwise)."""
+    """Compute one character value with the chosen method.  auto picks the
+    strip-weight recursion for odd mu and the Pieri recursion, which takes
+    every class, otherwise; every method but combinatorial takes every
+    class."""
     if method == "auto":
         if is_odd_partition(sort_desc(mu)):
             return char_combinatorial(lam, mu)
-        return char_recursive(lam, mu)
+        return char_pieri(lam, mu)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     return METHODS[method](lam, mu)

@@ -3,13 +3,14 @@ output formats, spin bitrace values, and self-verification suites.
 
 Set HCCHAR_CACHE to a writable directory to persist the tables that
 ``table`` computes as JSON; ``char`` always computes its value and never
-reads the cache.  Entries are cross-checked between two methods before
-being written and stored atomically, as a SHA-256 digest line followed by
-the body.  A file whose digest, schema, cell set or any cell fails its
-check is ignored with one warning line on stderr, and the table is
-recomputed.  A cache that cannot be written is an I/O error (exit status
-4); a cross-check that finds the two methods disagreeing names the first
-differing cell, writes nothing and fails (exit status 1).
+reads the cache.  Entries are cross-checked against the Pieri recursion
+(a Pieri table against the strip-weight recursion) before being written
+and stored atomically, as a SHA-256 digest line followed by the body.  A
+file whose digest, schema, cell set or any cell fails its check is ignored
+with one warning line on stderr, and the table is recomputed.  A cache
+that cannot be written is an I/O error (exit status 4); a cross-check that
+finds the two methods disagreeing names the first differing cell, writes
+nothing and fails (exit status 1).
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], 
         return cached
     table = characters.char_table(n, method=method)
     if _cache_path(n) is not None:
-        # cached values must agree with a second, independent method
-        check_method = "combinatorial" if method == "recursive" else "recursive"
+        # cached values must agree with a second method that shares no peel
+        # with the first: Pieri, or for a Pieri table the strip weights
+        check_method = "combinatorial" if method == "pieri" else "pieri"
         check = characters.char_table(n, method=check_method)
         for cell, value in table.items():
             if failure := _disagreement(_cell(*cell), {method: value, check_method: check[cell]}):
@@ -457,6 +459,13 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(
+            f"error: input nested deeper than the interpreter's recursion limit ({limit} frames)",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
 

@@ -93,25 +93,38 @@ def f_single(i: int) -> QPoly:
 
 @cache
 def composition_sums(
-    merge, parts: Parts, k: int, factor=f_single
+    merge, parts: Parts, k: int, factor=f_single, negative_parts: bool = False
 ) -> tuple[tuple[Parts, QPoly | int], ...]:
     """The sum of f_tau over the compositions tau of k with one entry per
     part, grouped by key.  Built from the last part forward: tau_1 = t gives
     f_t times each sum of (parts[1:], k - t), and merge(parts[0] - t, rest)
     turns that sum's key into [(coefficient, key), ...].  Zero sums are
     dropped.  merge and factor must be fixed functions: the sums are
-    memoized per (merge, parts, k, factor), so equal suffixes of parts share
-    them.
+    memoized per (merge, parts, k, factor, negative_parts), so equal
+    suffixes of parts share them; callers pass factor positionally and
+    negative_parts by keyword, as the recursion does, so that they share one
+    memo key with it.
+
+    By default each slot is bounded by its part, t <= parts[0] and
+    k - t <= sum(parts[1:]): the sum runs over the compositions tau of k
+    with tau_i <= parts[i], and merge never sees a negative remainder
+    parts[0] - t.  negative_parts=True lets every t from 0 to k through, for
+    a merge that straightens a negative remainder into nonzero terms.
 
     factor(t) gives f_t in some commutative ring: as a QPoly by default, or
     for example packed into an int at q = 2^B.  factor(0) is that ring's
     one, and merge coefficients multiply into it as ints."""
     if not parts:
         return (((), factor(0)),) if k == 0 else ()
+    low, high = 0, k
+    if not negative_parts:
+        low, high = max(0, k - sum(parts[1:])), min(k, parts[0])
     sums = {}
-    for t in range(k + 1):
+    for t in range(low, high + 1):
         f_t = factor(t)
-        for rest, value in composition_sums(merge, parts[1:], k - t, factor):
+        for rest, value in composition_sums(
+            merge, parts[1:], k - t, factor, negative_parts=negative_parts
+        ):
             for c, key in merge(parts[0] - t, rest):
                 term = f_t * value * c
                 sums[key] = sums[key] + term if key in sums else term
@@ -141,4 +154,4 @@ def qbasis_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     l(lam) slots.  Parts of lam - tau may be negative; straightening turns
     Q_m Q_{-m} into a vacuum term.  Straightening is linear, so each part of
     lam is prepended to the straightened sums of the parts after it."""
-    return composition_sums(_prepend, lam, k)
+    return composition_sums(_prepend, lam, k, f_single, negative_parts=True)

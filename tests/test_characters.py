@@ -32,6 +32,7 @@ from hcchar.characters import (
 from hcchar.golden import golden_table
 from hcchar.partitions import (
     epsilon,
+    is_odd_partition,
     nonzero_length,
     odd_partitions_of,
     strict_partitions_of,
@@ -158,9 +159,9 @@ def test_pieri_f_sums_match_composition_by_composition():
 
 def test_pieri_matches_the_unpacked_reference():
     # the packed recursion against the same recursion in QPoly arithmetic,
-    # whose every coefficient stays within the L1 bound
+    # whose every coefficient stays within the L1 bound, for every class
     for n in range(12):
-        for mu in odd_partitions_of(n):
+        for mu in partitions_of(n):
             for lam in strict_partitions_of(n):
                 reference = g_pieri_qpoly(lam, mu)
                 assert char_pieri(lam, mu) == _finalize(reference, lam, mu), (lam, mu)
@@ -215,20 +216,49 @@ def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_pieri_me
         char_pieri(*WIDE_CELL)
 
 
+def test_pieri_slots_are_bounded_by_their_parts(fresh_pieri_memos):
+    # every slot of an f-sum at most its part of mu: (45) at (3^15) needs
+    # one sum per suffix of mu and width, 2 l(mu) + 2 in all, where slots
+    # running up to k memoize 1382
+    composition_sums.cache_clear()
+    mu = (3,) * 15
+    assert char_pieri((45,), mu) == char_one_row(mu)
+    assert composition_sums.cache_info().currsize <= 2 * len(mu) + 2
+
+
+def test_pieri_takes_every_class():
+    # every (strict lam, mu) cell whose mu has an even part, up to weight 10;
+    # the oracle up to weight 8
+    checked = 0
+    for n in range(11):
+        for mu in partitions_of(n):
+            if is_odd_partition(mu):
+                continue
+            for lam in strict_partitions_of(n):
+                value = char_pieri(lam, mu)
+                assert value == char_recursive(lam, mu) == char_pfaffian(lam, mu), (lam, mu)
+                if n <= 8:
+                    assert value == char_oracle(lam, mu), (lam, mu)
+                checked += 1
+    assert checked == 691
+
+
 @st.composite
-def _large_odd_cells(draw):
+def _large_cells(draw):
     n = draw(st.integers(13, 18))
     lam = draw(st.sampled_from(strict_partitions_of(n)))
-    mu = draw(st.sampled_from(odd_partitions_of(n)))
+    mu = draw(st.sampled_from(partitions_of(n)))
     return lam, mu
 
 
 @settings(max_examples=12, deadline=None)
-@given(_large_odd_cells())
+@given(_large_cells())
 def test_pieri_agrees_on_random_large_cells(cell):
     lam, mu = cell
     value = char_pieri(lam, mu)
-    assert value == char_combinatorial(lam, mu) == char_recursive(lam, mu), cell
+    assert value == char_recursive(lam, mu), cell
+    if is_odd_partition(mu):
+        assert value == char_combinatorial(lam, mu), cell
 
 
 def test_two_row_series_matches_definitional_sums():
@@ -318,8 +348,8 @@ def test_domain_errors():
         char_oracle((2, 2), (3, 1))  # not strict
     with pytest.raises(ValueError):
         char_combinatorial((3, 1), (2, 2))  # even parts
-    with pytest.raises(ValueError):
-        char_pieri((3, 1), (2, 2))
+    # the Pieri recursion takes every class, even parts included
+    assert char_pieri((3, 1), (2, 2)) == char_recursive((3, 1), (2, 2)) == QPoly((4, -8, 4))
     with pytest.raises(ValueError):
         char_value((3,), (3,), method="nonsense")
 

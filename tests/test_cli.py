@@ -47,11 +47,23 @@ def test_char_domain_errors(capsys):
     assert code == 2 and "weights differ" in err
     code, _, err = run(capsys, "char", "--lambda", "2,2", "--mu", "3,1")
     assert code == 2
-    code, _, err = run(capsys, "char", "--lambda", "3,1", "--mu", "2,2", "--method", "pieri")
-    assert code == 2
+    # the Pieri recursion takes every class, even parts included
+    code, out, _ = run(capsys, "char", "--lambda", "3,1", "--mu", "2,2", "--method", "pieri")
+    assert (code, out) == (0, cli.characters.char_recursive((3, 1), (2, 2)).to_text() + "\n")
     with pytest.raises(SystemExit) as exc:
         cli.main(["char", "--lambda", "3", "--mu", "3", "--method", "bogus"])
     assert exc.value.code == 2
+
+
+def test_input_nested_past_the_recursion_limit_is_a_usage_error(capsys):
+    # the bitrace peels one part of mu per level, so 500 parts recurse
+    # past the default limit of 1000 frames
+    code, out, err = run(capsys, "sbtr", "--mu", ",".join(["1"] * 500), "--nu", "500")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.splitlines() == [
+        "error: input nested deeper than the interpreter's recursion limit "
+        f"({sys.getrecursionlimit()} frames)"
+    ]
 
 
 def test_table_csv(capsys):
@@ -305,9 +317,10 @@ def test_cache_cross_check_uses_a_second_method(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.characters, "char_table", recording)
     for method, check in (
-        ("recursive", "combinatorial"),
-        ("combinatorial", "recursive"),
-        ("auto", "recursive"),
+        ("recursive", "pieri"),
+        ("combinatorial", "pieri"),
+        ("auto", "pieri"),
+        ("pieri", "combinatorial"),
     ):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / method))
         calls.clear()
@@ -321,7 +334,7 @@ def test_cache_cross_check_names_the_disagreeing_cell(tmp_path, capsys, monkeypa
 
     def second_method_off_by_one(n, method="auto"):
         table = original(n, method=method)
-        if method == "recursive":
+        if method == "pieri":
             table[((3, 1), (3, 1))] = table[((3, 1), (3, 1))] + QPoly((1,))
         return table
 
@@ -331,7 +344,7 @@ def test_cache_cross_check_names_the_disagreeing_cell(tmp_path, capsys, monkeypa
     assert code == cli.EXIT_FAIL and out == ""
     assert err.splitlines() == [
         "error: methods disagree while caching n=4 at lambda=3,1, mu=3,1: "
-        "auto gives 2*q^2 - 6*q + 2, recursive gives 2*q^2 - 6*q + 3"
+        "auto gives 2*q^2 - 6*q + 2, pieri gives 2*q^2 - 6*q + 3"
     ]
     assert not list(tmp_path.iterdir())
 
