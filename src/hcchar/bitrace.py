@@ -6,6 +6,12 @@ computed three ways: a peeling recursion driven by the alpha polynomials,
 which come from their generating function D(-z)/D(z), the inner product of
 the two generator products in the power-sum ring, and (in the characters
 module) the sum of products of character values.
+
+The peel sums alpha_product(tau) times a smaller pairing over every
+composition tau of mu_1 bounded by nu.  The product depends only on the
+multiset of tau's parts, so it is kept once per multiset; ROADMAP item 5
+replaces the composition sum with per-remainder sums through the shared
+peel of the characters module, and removes those products along with _T.
 """
 
 from __future__ import annotations
@@ -56,10 +62,18 @@ def alpha(n: int) -> QPoly:
 
 
 def alpha_product(tau: Parts) -> QPoly:
+    """The product of alpha(part) over the parts of tau; it depends only on
+    their multiset, so it is read from one product per sorted multiset."""
+    return _alpha_multiset_product(sort_desc(tau))
+
+
+@cache
+def _alpha_multiset_product(parts: Parts) -> QPoly:
+    # a loop, not a recursion on parts[1:], so the peel's depth stays one
+    # frame per part of mu
     out = ONE
-    for part in tau:
-        if part:
-            out = out * alpha(part)
+    for part in parts:
+        out = out * alpha(part)
     return out
 
 

@@ -217,10 +217,12 @@ def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
     return _finalize(_g_peel(gds_expansion, lam, mu), lam, mu)
 
 
-def _merge_part(m: int, rest: Parts) -> list[tuple[int, Parts]]:
+@cache
+def _merge_part(m: int, rest: Parts) -> tuple[tuple[int, Parts], ...]:
     # mu_1 - tau_1 joins the partition the later parts leave; composition_sums
-    # bounds tau_1 by mu_1, so the difference is never negative
-    return [(1, sort_desc((m,) + rest))]
+    # bounds tau_1 by mu_1, so the difference is never negative.  Memoized,
+    # since the L1 run and every packed width repeat the same merges
+    return ((1, sort_desc((m,) + rest)),)
 
 
 @cache

@@ -8,10 +8,10 @@ statistic l(.) always counts nonzero parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from math import factorial
+from typing import NamedTuple
 
 from .qpoly import NonDivisibleError, ONE, QPoly, q_pow_minus_one
 
@@ -158,14 +158,14 @@ class SkewKind(Enum):
     GENERALIZED_DOUBLE_STRIP = "generalized-double-strip"
 
 
-@dataclass(frozen=True)
-class SkewClassification:
+class SkewClassification(NamedTuple):
     """Analysis of a shifted skew diagram lam*/mu*.
 
     c counts the diagonals (constant col-row) holding exactly two cells;
     beta_components lists, top component first, the per-row cell counts of
     each connected component made of one-cell diagonals; l_jump is
-    l(lam) - l(mu).
+    l(lam) - l(mu).  A named tuple, so it also compares equal to the plain
+    tuple of its fields.
     """
 
     kind: SkewKind

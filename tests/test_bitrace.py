@@ -9,12 +9,13 @@ from hcchar.bitrace import (
     T_mu_nu,
     WeightMismatchError,
     alpha,
+    alpha_product,
     regular_char,
     sbtr,
     sbtr_powersum,
 )
 from hcchar.characters import orthogonality_sum
-from hcchar.partitions import nonzero_length, odd_partitions_of, z_lambda
+from hcchar.partitions import bounded_compositions, nonzero_length, odd_partitions_of, z_lambda
 from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO
 import oracles
 from oracles import alpha_direct_sum, partitions_of
@@ -56,6 +57,19 @@ def test_alpha_direct_sum_rejects_a_non_integral_sum(monkeypatch):
         alpha_direct_sum(3)
 
 
+def test_alpha_product_is_the_ordered_product_of_alphas():
+    # the product is kept once per multiset; it must equal the product of
+    # alpha(t) taken in tau's own order, zero parts included
+    for n in range(10):
+        for nu in odd_partitions_of(n):
+            for k in range(n + 1):
+                for tau in bounded_compositions(k, nu):
+                    expected = ONE
+                    for t in tau:
+                        expected = expected * alpha(t)
+                    assert alpha_product(tau) == expected, (k, nu, tau)
+
+
 def test_T_examples():
     assert T_mu_nu((1,), (1,)) == alpha(1)
     for n in range(1, 7):
@@ -95,11 +109,14 @@ def test_three_way_equality_small():
 
 
 def test_sbtr_powersum_matches_peeling_on_all_partitions():
-    for n in range(7):
-        ps = partitions_of(n)
-        for mu in ps:
-            for nu in ps:
-                assert sbtr_powersum(mu, nu) == sbtr(mu, nu), (mu, nu)
+    # every pair to weight 6, and every ordered odd pair of weights 7-9,
+    # the benchmark's weight included
+    pairs = [(mu, nu) for n in range(7) for mu in partitions_of(n) for nu in partitions_of(n)]
+    for n in range(7, 10):
+        ops = odd_partitions_of(n)
+        pairs += [(mu, nu) for mu in ops for nu in ops]
+    for mu, nu in pairs:
+        assert sbtr_powersum(mu, nu) == sbtr(mu, nu), (mu, nu)
 
 
 @st.composite

@@ -554,6 +554,18 @@ def test_char_does_not_read_the_cache(tmp_path):
     assert _probe(char, **{cli.CACHE_ENV: str(tmp_path)}) == (value, "", False)
 
 
+def test_python_m_hcchar_runs_the_cli(capsys):
+    # python -m hcchar prints what cli.main prints and exits with its status
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for argv in (["char", "--lambda", "4,2", "--mu", "3,3"], ["char", "--lambda", "3,1", "--mu", "3"]):
+        child = subprocess.run(
+            [sys.executable, "-m", "hcchar", *argv], capture_output=True, text=True, env=env
+        )
+        assert (child.returncode, child.stdout, child.stderr) == run(capsys, *argv), argv
+
+
 def test_cache_load_does_not_hide_programming_errors(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     assert run(capsys, "table", "--n", "3")[0] == 0
