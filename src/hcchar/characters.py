@@ -20,10 +20,16 @@ the lowering step with every slot free, since its negative parts
 straighten.  The value of a shifted border strip is a recursion on the top
 block of its coarsenings.
 
-All internal recursions work with the unnormalized pairing G(lam, mu); all
-five routes, the oracle and Pieri included, then share one normalization,
-_finalize, which ties 2^{-eps(lam)} (q-1)^{-l(mu)} once at the boundary, in
-exact integer divisions that assert integer coefficients.  Agreement of the
+The character is G(lam, mu) / (2^{eps(lam)} (q-1)^{l(mu)}), for the
+unnormalized pairing G.  Every lowering step by k >= 1 is a sum of
+f-products, and each one-part factor f_t = 2(q-1)(t)_q, so the peel takes
+one factor q - 1 out of every entry of its table, once per entry and
+memoized (_reduced_expansion), and returns G / (q-1)^{l(mu)}; a step that
+does not divide raises NonDivisibleError naming lam, k and nu.  The oracle
+and Pieri build the full G and divide it by (q-1)^{l(mu)} in one step, so
+five-way agreement compares the two ways of taking out (q-1)^{l(mu)}.  All
+five routes then share one normalization, _finalize, the exact division by
+2^{eps(lam)} in ints, which asserts integer coefficients.  Agreement of the
 routes cannot see a fault there; test_normalization_at_integer_points checks
 it in plain ints.  The two-row closed form folds the normalization into its
 own generating function instead.
@@ -153,13 +159,13 @@ def pfaffian_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
 # ---------------------------------------------------------------------------
 # normalization boundary
 
-def _finalize(g_value: QPoly, lam: Parts, mu: Parts) -> QPoly:
-    quotient = exact_div_qminus1_pow(g_value, nonzero_length(mu))
+def _finalize(reduced: QPoly, lam: Parts, mu: Parts) -> QPoly:
+    # reduced is G(lam, mu) / (q-1)^{l(mu)}; what is left is 2^{eps(lam)}
     two_eps = 2 ** epsilon(lam)
     try:
-        return exact_div_int(quotient, two_eps)
+        return exact_div_int(reduced, two_eps)
     except NonDivisibleError as exc:
-        rational = quotient.scale(Fraction(1, two_eps)).to_text()
+        rational = reduced.scale(Fraction(1, two_eps)).to_text()
         raise NonDivisibleError(
             f"character for {lam}, {mu} is not integral: {rational}"
         ) from exc
@@ -183,16 +189,33 @@ def char_oracle(lam: Parts, mu: Parts) -> QPoly:
     the power-sum basis."""
     lam, mu = _validate(lam, mu)
     g_value = inner_product(g_product(mu), Q_lambda_vacuum(lam))
-    return _finalize(g_value, lam, mu)
+    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
+
+
+@cache
+def _reduced_expansion(expansion, lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
+    # expansion(lam, k) with one factor of q - 1 taken out of every weight;
+    # for k >= 1 each weight is a sum of f-products, and f_t = 2(q-1)(t)_q
+    out = []
+    for nu, value in expansion(lam, k):
+        try:
+            out.append((nu, exact_div_qminus1_pow(value, 1)))
+        except NonDivisibleError as exc:
+            raise NonDivisibleError(
+                f"lowering step lam = {lam}, k = {k}, nu = {nu}: "
+                f"weight {value.to_text()} is not divisible by q - 1"
+            ) from exc
+    return tuple(out)
 
 
 @cache
 def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
-    # peel mu[0] through one lowering-step table, expansion(lam, k) -> (nu, value)
+    # G(lam, mu) / (q-1)^{l(mu)}: peel mu[0] through one lowering-step table,
+    # expansion(lam, k) -> (nu, value), with a factor q - 1 out of each value
     if not lam:
         return ONE
     out = ZERO
-    for nu, value in expansion(lam, mu[0]):
+    for nu, value in _reduced_expansion(expansion, lam, mu[0]):
         out = out + value * _g_peel(expansion, nu, mu[1:])
     return out
 
@@ -266,7 +289,8 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
     lam, mu = _validate(lam, mu)
     bound = _g_pieri(lam, mu, None)
     bits = pack_width(bound)
-    return _finalize(unpack(_g_pieri(lam, mu, bits), bits, bound), lam, mu)
+    g_value = unpack(_g_pieri(lam, mu, bits), bits, bound)
+    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +371,10 @@ def char_hook_mu(lam: Parts, k: int) -> QPoly:
     n = weight(lam)
     if k % 2 == 0 or k < 1 or k > n:
         raise BadShapeError(f"hook class needs odd k <= {n}, got {k}")
+    # each f_1 of the tail is 2(q-1); the first step gives up its q - 1 in
+    # the peel's own reduced table
     total = ZERO
-    for nu, value in gds_expansion(lam, k):
+    for nu, value in _reduced_expansion(gds_expansion, lam, k):
         total = total + value.scale(shifted_syt_count(nu))
     return _finalize(total.scale(2 ** (n - k)), lam, (k,))
 

@@ -310,6 +310,20 @@ def pieri_f_sums_by_composition(mu: Parts, i: int) -> dict[Parts, QPoly]:
 
 
 @cache
+def g_peel_unreduced(expansion, lam: Parts, mu: Parts) -> QPoly:
+    """Reference for characters._g_peel: the same peel over the full
+    lowering-step weights, expansion(lam, k) -> (nu, value), for the
+    unnormalized pairing G(lam, mu), which is (q-1)^{l(mu)} times what the
+    library peels."""
+    if not lam:
+        return ONE
+    out = ZERO
+    for nu, value in expansion(lam, mu[0]):
+        out = out + value * g_peel_unreduced(expansion, nu, mu[1:])
+    return out
+
+
+@cache
 def g_pieri_qpoly(lam: Parts, mu: Parts) -> QPoly:
     """Reference for characters._g_pieri: the Pieri recursion for the
     unnormalized pairing G(lam, mu), unpacked, in QPoly arithmetic."""

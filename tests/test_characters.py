@@ -12,6 +12,7 @@ from hcchar.characters import (
     _g_pieri,
     _merge_part,
     _pieri_factor,
+    _reduced_expansion,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -25,10 +26,12 @@ from hcchar.characters import (
     char_value,
     gds_expansion,
     orthogonality_sum,
+    pfaffian_expansion,
     sbs_principal,
     table_cells,
     wt_gds,
 )
+from hcchar.gamma import g_product, inner_product
 from hcchar.golden import golden_table
 from hcchar.partitions import (
     epsilon,
@@ -46,13 +49,16 @@ from hcchar.qpoly import (
     exact_div_qminus1_pow,
     l1_norm,
     pack,
+    pack_width,
     round_bracket,
+    unpack,
 )
-from hcchar.vertex import composition_sums, f_single
+from hcchar.vertex import Q_lambda_vacuum, composition_sums, f_single, qbasis_expansion
 from oracles import (
     coarsenings,
     determinant,
     f_coeff,
+    g_peel_unreduced,
     g_pieri_qpoly,
     partitions_of,
     pieri_f_sums_by_composition,
@@ -164,7 +170,8 @@ def test_pieri_matches_the_unpacked_reference():
         for mu in partitions_of(n):
             for lam in strict_partitions_of(n):
                 reference = g_pieri_qpoly(lam, mu)
-                assert char_pieri(lam, mu) == _finalize(reference, lam, mu), (lam, mu)
+                reduced = exact_div_qminus1_pow(reference, nonzero_length(mu))
+                assert char_pieri(lam, mu) == _finalize(reduced, lam, mu), (lam, mu)
                 bound = _g_pieri(lam, mu, None)
                 assert all(abs(c) <= bound for c in reference.coeffs), (lam, mu)
 
@@ -292,23 +299,64 @@ def _int_horner(f: QPoly, x: int) -> int:
     return acc
 
 
+def _pieri_g(lam, mu):
+    # Pieri's unpacked G(lam, mu), before its division by (q-1)^l(mu)
+    bound = _g_pieri(lam, mu, None)
+    bits = pack_width(bound)
+    return unpack(_g_pieri(lam, mu, bits), bits, bound)
+
+
 def test_normalization_at_integer_points():
-    # G = 2^eps(lam) (q-1)^l(mu) chi, checked at integer points q0 where
-    # q0 - 1 is not a unit; five-way agreement cannot see a normalization
-    # fault, since every route shares it
+    # the peel's G / (q-1)^l(mu) = 2^eps(lam) chi for all three tables, and
+    # the oracle's and Pieri's full G = 2^eps(lam) (q-1)^l(mu) chi, checked at
+    # integer points q0 where q0 - 1 is not a unit; five-way agreement sees
+    # the peel's per-step division by q - 1 only against the one division of
+    # the oracle and Pieri, and cannot see the 2^eps(lam) division they share
+    tables = (qbasis_expansion, pfaffian_expansion, gds_expansion)
     for n in range(1, 13):
         for mu in odd_partitions_of(n):
             for lam in strict_partitions_of(n):
-                g_value = _g_peel(gds_expansion, lam, mu)
                 chi = char_combinatorial(lam, mu)
+                peeled = [_g_peel(expansion, lam, mu) for expansion in tables]
+                full = [inner_product(g_product(mu), Q_lambda_vacuum(lam)), _pieri_g(lam, mu)]
                 for q0 in (3, -2, 2**61 - 1):
-                    expect = (q0 - 1) ** len(mu) * 2 ** epsilon(lam) * _int_horner(chi, q0)
-                    assert _int_horner(g_value, q0) == expect, (lam, mu, q0)
+                    expect = 2 ** epsilon(lam) * _int_horner(chi, q0)
+                    for g_value in peeled:
+                        assert _int_horner(g_value, q0) == expect, (lam, mu, q0)
+                    expect *= (q0 - 1) ** len(mu)
+                    for g_value in full:
+                        assert _int_horner(g_value, q0) == expect, (lam, mu, q0)
+
+
+def test_peel_is_the_unreduced_peel_over_its_power_of_q_minus_1():
+    # (q-1)^l(mu) times the reduced peel is the peel over the full weights,
+    # on every class each table takes
+    for n in range(11):
+        for mu in partitions_of(n):
+            tables = (qbasis_expansion, pfaffian_expansion)
+            if is_odd_partition(mu):
+                tables += (gds_expansion,)
+            for lam in strict_partitions_of(n):
+                for expansion in tables:
+                    reduced = _g_peel(expansion, lam, mu)
+                    reference = g_peel_unreduced(expansion, lam, mu)
+                    assert reduced * QPoly((-1, 1)) ** len(mu) == reference, (expansion, lam, mu)
+
+
+def test_a_step_not_divisible_by_q_minus_1_names_its_cell():
+    def fake(lam, k):
+        return ((lam[1:], ONE),)
+
+    with pytest.raises(NonDivisibleError) as exc:
+        _g_peel(fake, (2, 1), (2, 1))
+    assert str(exc.value) == (
+        "lowering step lam = (2, 1), k = 2, nu = (1,): weight 1 is not divisible by q - 1"
+    )
 
 
 def test_normalization_errors_name_the_value(monkeypatch):
     with pytest.raises(NonDivisibleError) as exc:
-        _finalize(QPoly((-1, 3, -3, 1)), (2, 1), (1, 1, 1))
+        _finalize(ONE, (2, 1), (1, 1, 1))
     assert str(exc.value) == "character for (2, 1), (1, 1, 1) is not integral: 1/2"
 
     # 1/2 + 1 over the strict partitions (3) and (2, 1)
@@ -409,3 +457,7 @@ def test_peel_memo_is_keyed_by_its_expansion():
         return tuple((nu, w.scale(2)) for nu, w in gds_expansion(lam, k))
 
     assert _g_peel(doubled, lam, mu) == value.scale(2 ** len(mu))
+    # the same for the memo of reduced lowering steps beneath the peel
+    reduced = _reduced_expansion(gds_expansion, lam, mu[0])
+    assert reduced
+    assert _reduced_expansion(doubled, lam, mu[0]) == tuple((nu, w.scale(2)) for nu, w in reduced)
