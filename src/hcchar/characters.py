@@ -34,13 +34,20 @@ routes cannot see a fault there; test_normalization_at_integer_points checks
 it in plain ints.  The two-row closed form folds the normalization into its
 own generating function instead.
 
-The Pieri recursion runs on ints: first on the L1 norms of its terms, with
-the signs dropped, for a bound on every coefficient of G, then on its terms
+Pieri and the peel both run on ints, through one evaluator, _unpacked:
+the recursion runs first on the L1 norms of its terms, with the signs
+dropped, for a bound on every coefficient of its value, then on its terms
 packed at q = 2^B (Kronecker substitution), with B at least two bits above
-that bound.  The packed G is unpacked from its balanced base-2^B digits, and
-a width or digit beyond the bound raises instead of returning a value.  The
-oracle and the peel stay on QPoly, the unpacked reference the packing is
-checked against.
+that bound and chosen per cell.  The value is unpacked from its balanced
+base-2^B digits, and a width or digit beyond the bound raises instead of
+returning a value.  The L1 run bounds the packed one because the L1 norm is
+subadditive and submultiplicative, |f + g| <= |f| + |g| and |f g| <= |f| |g|,
+so a recursion of sums and products, with each integer scalar replaced by
+its absolute value, bounds the L1 norm, and so every coefficient, of what
+it computes.  _in_ring maps a QPoly into either run: the f_t of Pieri once
+per width, the peel's reduced tables once per (table, lam, k, width).  The
+oracle is the one route left on QPoly, the unpacked reference the packing
+is checked against.
 
 The order of the weight-n table's cells is defined once, by table_cells.
 char_table, the JSON rendering, the cache's cell-set check and the cell
@@ -51,7 +58,7 @@ lay out the same order row by row from the two partition lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .gamma import g_product, inner_product
 from .partitions import (
@@ -157,6 +164,22 @@ def pfaffian_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
 
 
 # ---------------------------------------------------------------------------
+# packed evaluation
+
+def _in_ring(f: QPoly, bits: int | None) -> int:
+    # the integer polynomial f packed at q = 2^bits, or its L1 norm for bits None
+    return l1_norm(f) if bits is None else pack(f, bits)
+
+
+def _unpacked(run) -> QPoly:
+    # the polynomial that run(bits) packs at q = 2^bits, for a recursion whose
+    # run(None), on L1 norms with the signs dropped, bounds its coefficients
+    bound = run(None)
+    bits = pack_width(bound)
+    return unpack(run(bits), bits, bound)
+
+
+# ---------------------------------------------------------------------------
 # normalization boundary
 
 def _finalize(reduced: QPoly, lam: Parts, mu: Parts) -> QPoly:
@@ -209,15 +232,30 @@ def _reduced_expansion(expansion, lam: Parts, k: int) -> tuple[tuple[Parts, QPol
 
 
 @cache
-def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
-    # G(lam, mu) / (q-1)^{l(mu)}: peel mu[0] through one lowering-step table,
-    # expansion(lam, k) -> (nu, value), with a factor q - 1 out of each value
+def _ring_expansion(
+    expansion, lam: Parts, k: int, bits: int | None
+) -> tuple[tuple[Parts, int], ...]:
+    # _reduced_expansion(expansion, lam, k) with each weight mapped by _in_ring
+    return tuple((nu, _in_ring(value, bits)) for nu, value in _reduced_expansion(expansion, lam, k))
+
+
+@cache
+def _g_peel_ring(expansion, lam: Parts, mu: Parts, bits: int | None) -> int:
+    # G(lam, mu) / (q-1)^{l(mu)} at q = 2^bits: peel mu[0] through one
+    # lowering-step table, expansion(lam, k) -> (nu, value), with a factor
+    # q - 1 out of each value; for bits None, the same peel on L1 norms
     if not lam:
-        return ONE
-    out = ZERO
-    for nu, value in _reduced_expansion(expansion, lam, mu[0]):
-        out = out + value * _g_peel(expansion, nu, mu[1:])
+        return 1
+    out = 0
+    for nu, value in _ring_expansion(expansion, lam, mu[0], bits):
+        out += value * _g_peel_ring(expansion, nu, mu[1:], bits)
     return out
+
+
+@cache
+def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
+    # G(lam, mu) / (q-1)^{l(mu)}, peeled through one lowering-step table
+    return _unpacked(partial(_g_peel_ring, expansion, lam, mu))
 
 
 def char_recursive(lam: Parts, mu: Parts) -> QPoly:
@@ -256,7 +294,7 @@ def _pieri_factor(bits: int | None):
     # composition_sums memoizes the f-sums once per width
     @cache
     def factor(t: int) -> int:
-        return l1_norm(f_single(t)) if bits is None else pack(f_single(t), bits)
+        return _in_ring(f_single(t), bits)
 
     return factor
 
@@ -287,9 +325,7 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
     L1 norms for a coefficient bound, then on values packed at q = 2^bits
     with bits wide enough for that bound."""
     lam, mu = _validate(lam, mu)
-    bound = _g_pieri(lam, mu, None)
-    bits = pack_width(bound)
-    g_value = unpack(_g_pieri(lam, mu, bits), bits, bound)
+    g_value = _unpacked(partial(_g_pieri, lam, mu))
     return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,13 @@ from hcchar.characters import (
     NotGdsError,
     _finalize,
     _g_peel,
+    _g_peel_ring,
     _g_pieri,
     _merge_part,
     _pieri_factor,
     _reduced_expansion,
+    _ring_expansion,
+    _unpacked,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -49,9 +53,7 @@ from hcchar.qpoly import (
     exact_div_qminus1_pow,
     l1_norm,
     pack,
-    pack_width,
     round_bracket,
-    unpack,
 )
 from hcchar.vertex import Q_lambda_vacuum, composition_sums, f_single, qbasis_expansion
 from oracles import (
@@ -190,40 +192,51 @@ def test_pieri_f_sums_pack_the_f_sums():
                 assert all(l1_norm(f) <= l1[rest] for rest, f in sums), (mu, i)
 
 
-# (5, 3, 1) at (1^9): G has the coefficient 2709504 = 0x295800, 23 bits
+# (5, 3, 1) at (1^9): Pieri's G has the coefficient 2709504 = 0x295800, 23
+# bits; the peel's G / (q-1)^9 is the constant 21504, 15 bits, and so is its
+# L1 bound
 WIDE_CELL = ((5, 3, 1), (1,) * 9)
-
-
-def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys):
-    assert max(g_pieri_qpoly(*WIDE_CELL).coeffs) == 2709504
-    monkeypatch.setattr("hcchar.characters.pack_width", lambda bound: 16)
-    with pytest.raises(OverflowError, match="16 bits cannot hold"):
-        char_pieri(*WIDE_CELL)
-    # the command line reports it as an internal error, with no value
-    code = cli.main(["char", "--lambda", "5,3,1", "--mu", "1,1,1,1,1,1,1,1,1", "--method", "pieri"])
-    out, err = capsys.readouterr()
-    assert (code, out) == (cli.EXIT_INTERNAL, "")
-    assert err.startswith("internal error: 16 bits cannot hold coefficients up to ")
+PACKED_ROUTES = (("pieri", char_pieri), ("combinatorial", char_combinatorial))
 
 
 @pytest.fixture
-def fresh_pieri_memos():
-    # the L1 run memoizes its bounds, so a patched norm must not leak out
-    for memo in (_g_pieri, _pieri_factor):
+def fresh_packed_memos():
+    # the L1 runs memoize their bounds, and _g_peel its unpacked values, so a
+    # memo hit would skip a patched width or norm, and a patched one must not
+    # leak out
+    memos = (_g_pieri, _pieri_factor, _g_peel, _g_peel_ring, _ring_expansion)
+    for memo in memos:
         memo.cache_clear()
     yield
-    for memo in (_g_pieri, _pieri_factor):
+    for memo in memos:
         memo.cache_clear()
 
 
-def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_pieri_memos):
-    # an L1 run that under-counts: every f_t counted as norm 1
+def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed_memos):
+    assert max(g_pieri_qpoly(*WIDE_CELL).coeffs) == 2709504
+    assert _g_peel_ring(gds_expansion, *WIDE_CELL, None) == 21504
+    monkeypatch.setattr("hcchar.characters.pack_width", lambda bound: 16)
+    for method, route in PACKED_ROUTES:
+        with pytest.raises(OverflowError, match="16 bits cannot hold"):
+            route(*WIDE_CELL)
+        # the command line reports it as an internal error, with no value
+        argv = ["char", "--lambda", "5,3,1", "--mu", "1,1,1,1,1,1,1,1,1", "--method", method]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (cli.EXIT_INTERNAL, ""), method
+        assert err.startswith("internal error: 16 bits cannot hold coefficients up to "), method
+
+
+def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_packed_memos):
+    # an L1 run that under-counts: every f_t, and every reduced strip weight,
+    # counted as norm 1
     monkeypatch.setattr("hcchar.characters.l1_norm", lambda f: 1)
-    with pytest.raises(OverflowError, match="exceeds its bound"):
-        char_pieri(*WIDE_CELL)
+    for method, route in PACKED_ROUTES:
+        with pytest.raises(OverflowError, match="exceeds its bound"):
+            route(*WIDE_CELL)
 
 
-def test_pieri_slots_are_bounded_by_their_parts(fresh_pieri_memos):
+def test_pieri_slots_are_bounded_by_their_parts(fresh_packed_memos):
     # every slot of an f-sum at most its part of mu: (45) at (3^15) needs
     # one sum per suffix of mu and width, 2 l(mu) + 2 in all, where slots
     # running up to k memoize 1382
@@ -299,13 +312,6 @@ def _int_horner(f: QPoly, x: int) -> int:
     return acc
 
 
-def _pieri_g(lam, mu):
-    # Pieri's unpacked G(lam, mu), before its division by (q-1)^l(mu)
-    bound = _g_pieri(lam, mu, None)
-    bits = pack_width(bound)
-    return unpack(_g_pieri(lam, mu, bits), bits, bound)
-
-
 def test_normalization_at_integer_points():
     # the peel's G / (q-1)^l(mu) = 2^eps(lam) chi for all three tables, and
     # the oracle's and Pieri's full G = 2^eps(lam) (q-1)^l(mu) chi, checked at
@@ -318,7 +324,10 @@ def test_normalization_at_integer_points():
             for lam in strict_partitions_of(n):
                 chi = char_combinatorial(lam, mu)
                 peeled = [_g_peel(expansion, lam, mu) for expansion in tables]
-                full = [inner_product(g_product(mu), Q_lambda_vacuum(lam)), _pieri_g(lam, mu)]
+                full = [
+                    inner_product(g_product(mu), Q_lambda_vacuum(lam)),
+                    _unpacked(partial(_g_pieri, lam, mu)),
+                ]
                 for q0 in (3, -2, 2**61 - 1):
                     expect = 2 ** epsilon(lam) * _int_horner(chi, q0)
                     for g_value in peeled:
@@ -461,3 +470,13 @@ def test_peel_memo_is_keyed_by_its_expansion():
     reduced = _reduced_expansion(gds_expansion, lam, mu[0])
     assert reduced
     assert _reduced_expansion(doubled, lam, mu[0]) == tuple((nu, w.scale(2)) for nu, w in reduced)
+    # and for the packed layer, both its L1 bound and its packed value
+    for bits in (None, 32):
+        packed = _g_peel_ring(gds_expansion, lam, mu, bits)
+        if bits is None:
+            assert packed >= l1_norm(value)
+        else:
+            assert packed == pack(value, bits)
+        assert _g_peel_ring(doubled, lam, mu, bits) == packed * 2 ** len(mu), bits
+        ring = _ring_expansion(gds_expansion, lam, mu[0], bits)
+        assert _ring_expansion(doubled, lam, mu[0], bits) == tuple((nu, 2 * w) for nu, w in ring)

@@ -199,6 +199,19 @@ def test_verify_workload_output_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# The benchmark's table workload renders every cell of weight 15, as
+# (weight, SHA-256 of render_table_json).
+TABLE_WORKLOAD_JSON = (15, "5db4207434e2fca7f4c50163aeb8f6b458b26fa8f5dee9b9e5f56935d0a0d3aa")
+
+
+def test_table_workload_output_is_pinned():
+    # the strip-weight peel that auto runs and Pieri render the same bytes
+    n, digest = TABLE_WORKLOAD_JSON
+    for method in ("auto", "pieri"):
+        rendered = cli.render_table_json(n, cli.characters.char_table(n, method=method))
+        assert hashlib.sha256(rendered.encode()).hexdigest() == digest, method
+
+
 def test_verify_small(capsys):
     # the whole report, so any change of wording or order fails here by name
     code, out, err = run(capsys, "verify", "--n-max", "4", "--suite", "all")
