@@ -23,6 +23,7 @@ from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
     bounded_compositions,
+    ensure_partition,
     is_odd_partition,
     nonzero_length,
     sort_desc,
@@ -88,12 +89,17 @@ def _T(mu: Parts, nu: Parts) -> QPoly:
     return out
 
 
-def T_mu_nu(mu: Parts, nu: Parts) -> QPoly:
-    """The unnormalized pairing; symmetric in its arguments."""
-    mu, nu = sort_desc(mu), sort_desc(nu)
+def _classes(mu: Parts, nu: Parts) -> tuple[Parts, Parts]:
+    # both classes sorted, each a partition, and the two of one weight
+    mu, nu = ensure_partition(sort_desc(mu), "mu"), ensure_partition(sort_desc(nu), "nu")
     if weight(mu) != weight(nu):
         raise WeightMismatchError(f"|{mu}| != |{nu}|")
-    return _T(mu, nu)
+    return mu, nu
+
+
+def T_mu_nu(mu: Parts, nu: Parts) -> QPoly:
+    """The unnormalized pairing; symmetric in its arguments."""
+    return _T(*_classes(mu, nu))
 
 
 def sbtr(mu: Parts, nu: Parts) -> QPoly:
@@ -106,9 +112,7 @@ def sbtr(mu: Parts, nu: Parts) -> QPoly:
 def sbtr_powersum(mu: Parts, nu: Parts) -> QPoly:
     """Spin bitrace through the power-sum ring: the inner product of the two
     products of deformed generators, divided by (q-1)^{l(mu)+l(nu)}."""
-    mu, nu = sort_desc(mu), sort_desc(nu)
-    if weight(mu) != weight(nu):
-        raise WeightMismatchError(f"|{mu}| != |{nu}|")
+    mu, nu = _classes(mu, nu)
     value = inner_product(g_product(mu), g_product(nu))
     return exact_div_qminus1_pow(value, nonzero_length(mu) + nonzero_length(nu))
 

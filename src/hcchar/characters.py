@@ -49,6 +49,14 @@ per width, the peel's reduced tables once per (table, lam, k, width).  The
 oracle is the one route left on QPoly, the unpacked reference the packing
 is checked against.
 
+The peel memoizes three levels, each keyed by its lowering-step table so
+that the routes never share a value: the reduced tables
+(_reduced_expansion), their images in each run (_ring_expansion) and the
+peel in each run (_g_peel_ring).  The full-weight tables and the unpacked
+values of _g_peel are not memoized: the peel reads each full-weight table
+once, through _reduced_expansion, and an unpacked value is rebuilt from two
+hits of _g_peel_ring and one unpack.
+
 The order of the weight-n table's cells is defined once, by table_cells.
 char_table, the JSON rendering, the cache's cell-set check and the cell
 loops of the cross and symmetry suites read it; the CSV and LaTeX renderings
@@ -63,6 +71,7 @@ from functools import cache, partial
 from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
+    SkewClassification,
     SkewKind,
     classify_skew,
     delta,
@@ -131,6 +140,11 @@ def wt_gds(lam: Parts, nu: Parts) -> QPoly:
     cls = classify_skew(lam, nu)
     if cls.kind is SkewKind.NOT_GDS:
         raise NotGdsError(f"{lam}/{nu} is not a generalized double strip")
+    return _strip_weight(cls)
+
+
+def _strip_weight(cls: SkewClassification) -> QPoly:
+    # the weight wt_gds describes, read from a classification that is not NOT_GDS
     out = QPoly((0,) * cls.c + ((-1) ** cls.c,))
     if cls.l_jump == 2:
         out = out.scale(2)
@@ -139,7 +153,6 @@ def wt_gds(lam: Parts, nu: Parts) -> QPoly:
     return out
 
 
-@cache
 def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     """All strict nu below lam whose skew is a k-cell generalized double
     strip, with their weights."""
@@ -147,11 +160,10 @@ def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     for nu in strict_subpartitions(lam, weight(lam) - k):
         cls = classify_skew(lam, nu)
         if cls.kind is not SkewKind.NOT_GDS:
-            out.append((nu, wt_gds(lam, nu)))
+            out.append((nu, _strip_weight(cls)))
     return tuple(out)
 
 
-@cache
 def pfaffian_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     """Lowering step resolved through skew Pfaffians: nonzero coefficients of
     Q_nu.1 in the image of Q_lam.1."""
@@ -252,7 +264,6 @@ def _g_peel_ring(expansion, lam: Parts, mu: Parts, bits: int | None) -> int:
     return out
 
 
-@cache
 def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
     # G(lam, mu) / (q-1)^{l(mu)}, peeled through one lowering-step table
     return _unpacked(partial(_g_peel_ring, expansion, lam, mu))

@@ -174,7 +174,6 @@ class SkewClassification(NamedTuple):
     l_jump: int
 
 
-@cache
 def classify_skew(lam: Parts, mu: Parts) -> SkewClassification:
     """Classify the shifted skew lam*/mu* into strip types by row arithmetic.
 

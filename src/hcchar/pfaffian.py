@@ -4,8 +4,6 @@ Q-functions."""
 
 from __future__ import annotations
 
-from functools import cache
-
 from .partitions import Parts, contains, ensure_strict_partition, weight
 from .qpoly import ONE, QPoly, ZERO
 from .vertex import f_pair, f_single
@@ -88,7 +86,6 @@ def build_skew_matrix(lam: Parts, mu: Parts) -> AntisymMatrix:
     return AntisymMatrix(s + r, upper)
 
 
-@cache
 def skew_Q_principal(lam: Parts, mu: Parts) -> QPoly:
     """Two-variable (t,-1) value of the skew Q-function, via the Pfaffian."""
     if lam == mu:

@@ -80,6 +80,17 @@ def test_T_examples():
         T_mu_nu((3,), (1, 1))
 
 
+def test_bitraces_reject_a_class_that_is_not_a_partition():
+    # (4, -1) has the weight of (3,), so only the partition check can refuse it
+    for route in (sbtr, sbtr_powersum, T_mu_nu):
+        with pytest.raises(ValueError, match=r"mu must have .* positive parts: \(4, -1\)"):
+            route((4, -1), (3,))
+        with pytest.raises(ValueError, match=r"nu must have .* positive parts: \(4, -1\)"):
+            route((3,), (4, -1))
+        with pytest.raises(WeightMismatchError):
+            route((3,), (1, 1))
+
+
 def test_sbtr_examples():
     s33 = sbtr((3,), (3,))
     assert s33 == QPoly((2, -4, 10, -4, 2))

@@ -38,11 +38,13 @@ from hcchar.characters import (
 from hcchar.gamma import g_product, inner_product
 from hcchar.golden import golden_table
 from hcchar.partitions import (
+    classify_skew,
     epsilon,
     is_odd_partition,
     nonzero_length,
     odd_partitions_of,
     strict_partitions_of,
+    strict_subpartitions,
 )
 from hcchar.pfaffian import skew_Q_principal
 from hcchar.qpoly import (
@@ -79,6 +81,24 @@ def test_wt_gds_examples():
     assert wt_gds((3, 1), (3, 1)) == ONE
     with pytest.raises(NotGdsError):
         wt_gds((3, 1), (2, 2))
+
+
+def test_gds_expansion_classifies_each_candidate_once(monkeypatch):
+    # the weight of a kept nu is read from the classification that kept it,
+    # so every strict nu of the right weight inside lam is classified once
+    calls = []
+
+    def counting(lam, nu):
+        calls.append((lam, nu))
+        return classify_skew(lam, nu)
+
+    monkeypatch.setattr("hcchar.characters.classify_skew", counting)
+    for n in range(1, 10):
+        for lam in strict_partitions_of(n):
+            for k in range(1, n + 1):
+                calls.clear()
+                gds_expansion(lam, k)
+                assert calls == [(lam, nu) for nu in strict_subpartitions(lam, n - k)], (lam, k)
 
 
 def _sbs_determinant_form(rows):
@@ -201,10 +221,10 @@ PACKED_ROUTES = (("pieri", char_pieri), ("combinatorial", char_combinatorial))
 
 @pytest.fixture
 def fresh_packed_memos():
-    # the L1 runs memoize their bounds, and _g_peel its unpacked values, so a
-    # memo hit would skip a patched width or norm, and a patched one must not
-    # leak out
-    memos = (_g_pieri, _pieri_factor, _g_peel, _g_peel_ring, _ring_expansion)
+    # the L1 runs memoize their bounds, and the packed runs their values, so
+    # a memo hit would skip a patched width or norm, and a patched one must
+    # not leak out
+    memos = (_g_pieri, _pieri_factor, _g_peel_ring, _ring_expansion)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -455,9 +475,10 @@ def test_degree_bound():
 
 
 def test_peel_memo_is_keyed_by_its_expansion():
-    # char_pfaffian and char_combinatorial share the _g_peel memo; were the
-    # expansion table missing from its key, each route would be handed the
-    # other's cached values and five-way agreement could not notice
+    # char_pfaffian and char_combinatorial share the _reduced_expansion,
+    # _ring_expansion and _g_peel_ring memos beneath _g_peel; were the
+    # expansion table missing from their keys, each route would be handed
+    # the other's cached values and five-way agreement could not notice
     lam, mu = (4, 2, 1), (3, 3, 1)
     value = _g_peel(gds_expansion, lam, mu)
     assert not value.is_zero()
