@@ -57,6 +57,17 @@ values of _g_peel are not memoized: the peel reads each full-weight table
 once, through _reduced_expansion, and an unpacked value is rebuilt from two
 hits of _g_peel_ring and one unpack.
 
+The strip weight of lam*/nu* depends only on the shape of the strip: its
+count c of two-cell diagonals, whether the length drops by two, and its
+one-cell components, not on where the strip sits.  _shape_weight memoizes
+it by (c, doubled, sorted components); sorting is sound because the weight
+multiplies the components' values and the product commutes, while the rows
+within a component keep their order, since sbs_principal depends on it.
+The key is classification data, never a QPoly value: the Pfaffian and
+Q-basis tables hold equal entries for odd k, and a value-keyed memo would
+let those routes share answers with this one.  Only gds_expansion and
+wt_gds read it, and char_hook_mu through gds_expansion's reduced table.
+
 The order of the weight-n table's cells is defined once, by table_cells.
 char_table, the JSON rendering, the cache's cell-set check and the cell
 loops of the cross and symmetry suites read it; the CSV and LaTeX renderings
@@ -145,10 +156,16 @@ def wt_gds(lam: Parts, nu: Parts) -> QPoly:
 
 def _strip_weight(cls: SkewClassification) -> QPoly:
     # the weight wt_gds describes, read from a classification that is not NOT_GDS
-    out = QPoly((0,) * cls.c + ((-1) ** cls.c,))
-    if cls.l_jump == 2:
+    return _shape_weight(cls.c, cls.l_jump == 2, tuple(sorted(cls.beta_components)))
+
+
+@cache
+def _shape_weight(c: int, doubled: bool, components: tuple[Parts, ...]) -> QPoly:
+    # (-t)^c, times 2 if doubled, times sbs_principal of each component
+    out = QPoly((0,) * c + ((-1) ** c,))
+    if doubled:
         out = out.scale(2)
-    for rows in cls.beta_components:
+    for rows in components:
         out = out * sbs_principal(rows)
     return out
 

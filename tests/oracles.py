@@ -96,6 +96,18 @@ def sbs_principal_by_coarsenings(rows: Parts) -> QPoly:
     return out
 
 
+def strip_weight_by_classification(cls: SkewClassification) -> QPoly:
+    """Reference for characters._strip_weight: (-q)^c, times 2 when the
+    length drops by two, times the coarsening sum of every component, taken
+    in the classification's own order."""
+    out = QPoly.monomial((-1) ** cls.c, cls.c)
+    if cls.l_jump == 2:
+        out = out.scale(2)
+    for rows in cls.beta_components:
+        out = out * sbs_principal_by_coarsenings(rows)
+    return out
+
+
 def alpha_direct_sum(n: int) -> QPoly:
     """Independent route: sum over odd partitions rho of n of
     2^{l(rho)} prod_i (t^{rho_i} - 1)^2 / z_rho."""

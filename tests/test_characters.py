@@ -38,6 +38,7 @@ from hcchar.characters import (
 from hcchar.gamma import g_product, inner_product
 from hcchar.golden import golden_table
 from hcchar.partitions import (
+    SkewKind,
     classify_skew,
     epsilon,
     is_odd_partition,
@@ -67,6 +68,8 @@ from oracles import (
     partitions_of,
     pieri_f_sums_by_composition,
     sbs_principal_by_coarsenings,
+    strict_partitions_between,
+    strip_weight_by_classification,
 )
 
 
@@ -99,6 +102,25 @@ def test_gds_expansion_classifies_each_candidate_once(monkeypatch):
                 calls.clear()
                 gds_expansion(lam, k)
                 assert calls == [(lam, nu) for nu in strict_subpartitions(lam, n - k)], (lam, k)
+
+
+def test_strip_weights_match_their_classification():
+    # the weights are memoized by shape (c, doubled, sorted components); every
+    # skew pair up to weight 12 must still get the weight of its own
+    # classification, so a key missing a field of the shape fails here
+    for n in range(13):
+        for lam in strict_partitions_of(n):
+            for nu in strict_partitions_between((), lam):
+                cls = classify_skew(lam, nu)
+                if cls.kind is SkewKind.NOT_GDS:
+                    with pytest.raises(NotGdsError):
+                        wt_gds(lam, nu)
+                else:
+                    assert wt_gds(lam, nu) == strip_weight_by_classification(cls), (lam, nu)
+            for k in range(n + 1):
+                for nu, value in gds_expansion(lam, k):
+                    expected = strip_weight_by_classification(classify_skew(lam, nu))
+                    assert value == expected, (lam, nu)
 
 
 def _sbs_determinant_form(rows):

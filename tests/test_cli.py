@@ -212,6 +212,20 @@ def test_table_workload_output_is_pinned():
         assert hashlib.sha256(rendered.encode()).hexdigest() == digest, method
 
 
+# Weight 18 under auto, as (weight, SHA-256 of render_table_json): its
+# table builds 2,692 strip weights from 522 shapes, the most sharing of any
+# weight this suite can afford to render.
+SHARED_SHAPE_TABLE_JSON = (18, "4c443f935f03253da2093c49318e5439ad4c92682b2b736b320a5d547017d96c")
+
+
+def test_shared_shape_table_output_is_pinned():
+    # strip weights are memoized by shape, so pairs that share one shape
+    # read one entry; the rendered table must not move
+    n, digest = SHARED_SHAPE_TABLE_JSON
+    rendered = cli.render_table_json(n, cli.characters.char_table(n))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == digest
+
+
 def test_verify_small(capsys):
     # the whole report, so any change of wording or order fails here by name
     code, out, err = run(capsys, "verify", "--n-max", "4", "--suite", "all")

@@ -43,6 +43,20 @@ def test_canonical_form():
     assert QPoly((0, 0, 5)).valuation == 2
 
 
+def test_coefficients_are_fractions_whatever_their_input_type():
+    # ints, bools and Fractions of one value give one polynomial, and every
+    # coefficient is stored as a Fraction
+    forms = [
+        QPoly((3, -2, 0, 1, 0)),
+        QPoly((Fraction(3), Fraction(-2), Fraction(0), True, False)),
+        QPoly((Fraction(6, 2), -2, False, Fraction(1), 0)),
+    ]
+    for f in forms:
+        assert f == forms[0] and hash(f) == hash(forms[0])
+        assert f.coeffs == (3, -2, 0, 1)
+        assert all(type(c) is Fraction for c in f.coeffs)
+
+
 @given(polys, polys, polys)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
