@@ -1,8 +1,8 @@
 """Exact univariate polynomials over the rationals.
 
-One dense representation serves every polynomial in the character calculus.
-The indeterminate is rendered as ``q``; internal formulas often call it ``t``,
-but both name the same variable.
+One dense representation, with ints for integral coefficients, serves every
+polynomial in the character calculus.  The indeterminate is rendered as ``q``;
+internal formulas often call it ``t``, but both name the same variable.
 """
 
 from __future__ import annotations
@@ -18,17 +18,22 @@ class NonDivisibleError(ArithmeticError):
     """An exact division left a nonzero remainder; signals an upstream bug."""
 
 
-class QPoly:
-    """Dense polynomial with Fraction coefficients and no trailing zeros.
+def _int_or_fraction(c: object) -> Scalar:
+    c = c if type(c) is Fraction else Fraction(c)  # bools and floats too
+    return c.numerator if c.denominator == 1 else c
 
-    ``coeffs[i]`` is the coefficient of q^i; the zero polynomial is the
-    empty tuple.  Instances are immutable and hashable.
+
+class QPoly:
+    """Dense polynomial with rational coefficients and no trailing zeros.
+
+    ``coeffs[i]`` is the coefficient of q^i, an int if integral, else a
+    Fraction; zero is the empty tuple.  Instances are immutable and hashable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _int_or_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -83,6 +88,7 @@ class QPoly:
         if isinstance(other, QPoly):
             if not self.coeffs or not other.coeffs:
                 return ZERO
+            # an int 0 here is deferred: CHANGES.md, "Integer coefficients in QPoly"
             out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
@@ -127,7 +133,7 @@ class QPoly:
         return window == window[::-1]
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return all(type(c) is int for c in self.coeffs)
 
     def __repr__(self) -> str:
         return f"QPoly({self.to_text()!r})"
@@ -163,8 +169,7 @@ class QPoly:
 
     @staticmethod
     def from_json(data: dict) -> "QPoly":
-        coeffs = [Fraction(num, den) for num, den in data["coeffs"]]
-        return QPoly(coeffs)
+        return QPoly(Fraction(num, den) for num, den in data["coeffs"])
 
 
 ZERO = QPoly()
@@ -174,14 +179,12 @@ ONE = QPoly((1,))
 def exact_div_qminus1_pow(f: QPoly, m: int) -> QPoly:
     """Divide f by (q-1)^m, requiring the division to be exact.
 
-    The m passes of synthetic division run in place over one list of
-    coefficients, held as ints where they are integral."""
+    The m passes of synthetic division run in place over one list."""
     if m < 0:
         raise ValueError("negative power")
     if not m or not f.coeffs:
         return f
-    # ints add far faster than Fractions; rational inputs must still divide
-    cs = [c.numerator if c.denominator == 1 else c for c in f.coeffs]
+    cs = list(f.coeffs)
     top = len(cs) - 1
     # the dividend is cs[lo:]; a pass leaves the quotient's coefficient of
     # q^j, the sum of the dividend's coefficients from q^{j+1} up, at cs[lo+1+j]
@@ -198,23 +201,19 @@ def exact_div_qminus1_pow(f: QPoly, m: int) -> QPoly:
 def exact_div_int(f: QPoly, d: int) -> QPoly:
     """Divide every coefficient of f by the nonzero integer d, requiring
     integer quotients."""
-    out = []
-    for c in f.coeffs:
-        quotient, remainder = divmod(c.numerator, d)
-        if remainder or c.denominator != 1:
-            raise NonDivisibleError(f"{f.to_text()} is not divisible by {d} over the integers")
-        out.append(quotient)
-    return QPoly(out)
+    if not f.has_integer_coeffs() or any(c % d for c in f.coeffs):
+        raise NonDivisibleError(f"{f.to_text()} is not divisible by {d} over the integers")
+    return QPoly([c // d for c in f.coeffs])
 
 
 # ---------------------------------------------------------------------------
 # Kronecker packing: an integer polynomial as its value at q = 2^bits
 # (von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4)
 
-def _int_coeffs(f: QPoly) -> list[int]:
-    if any(c.denominator != 1 for c in f.coeffs):
+def _int_coeffs(f: QPoly) -> tuple[int, ...]:
+    if not f.has_integer_coeffs():
         raise NonDivisibleError(f"{f.to_text()} has a non-integral coefficient")
-    return [c.numerator for c in f.coeffs]
+    return f.coeffs
 
 
 def l1_norm(f: QPoly) -> int:

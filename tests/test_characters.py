@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hcchar import cli
+from hcchar.bitrace import sbtr, sbtr_powersum
 from hcchar.characters import (
+    METHODS,
     BadShapeError,
     NotGdsError,
     _finalize,
@@ -463,6 +465,27 @@ def test_table_matches_golden():
     table = char_table(6)
     for value in table.values():
         assert value.is_palindromic()
+
+
+def test_stored_values_have_int_coefficients():
+    # every value is in Z[q], and QPoly keeps an integral coefficient as an
+    # int; a Fraction here means some path stores a rational form again
+    def assert_ints(value, what):
+        kinds = {type(c).__name__ for c in value.coeffs}
+        assert kinds <= {"int"}, f"{what} = {value.to_text()} holds {sorted(kinds)}"
+
+    for method in ["auto", *METHODS]:
+        for cell, value in char_table(9, method=method).items():
+            assert_ints(value, f"char_table(9, {method!r})[{cell}]")
+    for n in range(7):
+        for lam in strict_partitions_of(n):
+            for mu in partitions_of(n):
+                assert_ints(char_oracle(lam, mu), f"char_oracle{lam, mu}")
+    for n in range(8):
+        for mu in odd_partitions_of(n):
+            for nu in odd_partitions_of(n):
+                assert_ints(sbtr(mu, nu), f"sbtr{mu, nu}")
+                assert_ints(sbtr_powersum(mu, nu), f"sbtr_powersum{mu, nu}")
 
 
 def test_table_cells_run_rows_outside_columns_inside():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -43,18 +44,31 @@ def test_canonical_form():
     assert QPoly((0, 0, 5)).valuation == 2
 
 
-def test_coefficients_are_fractions_whatever_their_input_type():
-    # ints, bools and Fractions of one value give one polynomial, and every
-    # coefficient is stored as a Fraction
+def test_integral_coefficients_are_ints_whatever_their_input_type():
+    # ints, bools, integral Fractions and integral floats of one value give
+    # one polynomial, stored with int coefficients and rendered as before
     forms = [
         QPoly((3, -2, 0, 1, 0)),
         QPoly((Fraction(3), Fraction(-2), Fraction(0), True, False)),
         QPoly((Fraction(6, 2), -2, False, Fraction(1), 0)),
+        QPoly((3.0, -2.0, 0.0, 1.0, -0.0)),
+        QPoly((-3, 2, 0, -1)).scale((-1) ** -1),
     ]
     for f in forms:
         assert f == forms[0] and hash(f) == hash(forms[0])
         assert f.coeffs == (3, -2, 0, 1)
-        assert all(type(c) is Fraction for c in f.coeffs)
+        assert all(type(c) is int for c in f.coeffs)
+        assert json.dumps(f.to_json()) == (
+            '{"var": "q", "coeffs": [[3, 1], [-2, 1], [0, 1], [1, 1]]}'
+        )
+        assert f.to_text() == "q^3 - 2*q + 3"
+    # a non-integral coefficient stays a Fraction, whatever its input type
+    halves = [QPoly((Fraction(1, 2), 1)), QPoly((0.5, True)), QPoly((Fraction(2, 4), 1.0))]
+    for f in halves:
+        assert f == halves[0] and hash(f) == hash(halves[0])
+        assert [type(c) for c in f.coeffs] == [Fraction, int]
+        assert json.dumps(f.to_json()) == '{"var": "q", "coeffs": [[1, 2], [1, 1]]}'
+        assert f.to_text() == "q + 1/2"
 
 
 @given(polys, polys, polys)
