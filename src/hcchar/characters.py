@@ -34,18 +34,24 @@ routes cannot see a fault there; test_normalization_at_integer_points checks
 it in plain ints.  The two-row closed form folds the normalization into its
 own generating function instead.
 
-Pieri and the peel both run on ints, through one evaluator, _unpacked:
-the recursion runs first on the L1 norms of its terms, with the signs
-dropped, for a bound on every coefficient of its value, then on its terms
-packed at q = 2^B (Kronecker substitution), with B at least two bits above
-that bound and chosen per cell.  The value is unpacked from its balanced
-base-2^B digits, and a width or digit beyond the bound raises instead of
-returning a value.  The L1 run bounds the packed one because the L1 norm is
-subadditive and submultiplicative, |f + g| <= |f| + |g| and |f g| <= |f| |g|,
-so a recursion of sums and products, with each integer scalar replaced by
-its absolute value, bounds the L1 norm, and so every coefficient, of what
-it computes.  _in_ring maps a QPoly into either run: the f_t of Pieri once
-per width, the peel's reduced tables once per (table, lam, k, width).  The
+Pieri, the peel and the strip weights all run on ints, through one
+evaluator, _unpacked: the recursion runs first on the L1 norms of its terms,
+with the signs dropped, for a bound on every coefficient of its value, then
+on its terms packed at q = 2^B (Kronecker substitution), with B at least two
+bits above that bound and chosen per value.  The value is unpacked from its
+balanced base-2^B digits, and a width or digit beyond the bound raises
+instead of returning a value.  The L1 run bounds the packed one because the
+L1 norm is subadditive and submultiplicative, |f + g| <= |f| + |g| and
+|f g| <= |f| |g|, so a recursion of sums and products, with each integer
+scalar replaced by its absolute value, bounds the L1 norm, and so every
+coefficient, of what it computes.  _in_ring maps a QPoly into either run:
+each f_t once per width (_f_ring), which Pieri's f-sums and the border
+strips read, and the peel's reduced tables once per (table, lam, k, width).
+A border strip's value is its top-block recursion on those f_t (_sbs_ring);
+a strip weight multiplies 2 when the length drops by two and its
+components' values, and in the packed run the sign (-1)^c and the shift by
+c B bits that place q^c; the L1 run leaves q^c out, since |q^c f| = |f|.
+Of all that, only the f_t themselves are built by multiplying QPolys.  The
 oracle is the one route left on QPoly, the unpacked reference the packing
 is checked against.
 
@@ -62,10 +68,10 @@ count c of two-cell diagonals, whether the length drops by two, and its
 one-cell components, not on where the strip sits.  _shape_weight memoizes
 it by (c, doubled, sorted components); sorting is sound because the weight
 multiplies the components' values and the product commutes, while the rows
-within a component keep their order, since sbs_principal depends on it.
-The key is classification data, never a QPoly value: the Pfaffian and
-Q-basis tables hold equal entries for odd k, and a value-keyed memo would
-let those routes share answers with this one.  Only gds_expansion and
+within a component keep their order, since the border-strip value depends
+on it.  The key is classification data, never a QPoly value: the Pfaffian
+and Q-basis tables hold equal entries for odd k, and a value-keyed memo
+would let those routes share answers with this one.  Only gds_expansion and
 wt_gds read it, and char_hook_mu through gds_expansion's reduced table.
 
 The order of the weight-n table's cells is defined once, by table_cells.
@@ -135,13 +141,7 @@ def sbs_principal(rows: Parts) -> QPoly:
     which merges the first j + 1 rows."""
     if any(r < 1 for r in rows):
         raise ValueError("row counts must be positive")
-    if not rows:
-        return ONE
-    out = ZERO
-    for j in range(len(rows)):
-        term = f_single(sum(rows[: j + 1])) * sbs_principal(rows[j + 1:])
-        out = out + term.scale((-1) ** j)
-    return out
+    return _unpacked(partial(_sbs_ring, rows))
 
 
 def wt_gds(lam: Parts, nu: Parts) -> QPoly:
@@ -162,12 +162,7 @@ def _strip_weight(cls: SkewClassification) -> QPoly:
 @cache
 def _shape_weight(c: int, doubled: bool, components: tuple[Parts, ...]) -> QPoly:
     # (-t)^c, times 2 if doubled, times sbs_principal of each component
-    out = QPoly((0,) * c + ((-1) ** c,))
-    if doubled:
-        out = out.scale(2)
-    for rows in components:
-        out = out * sbs_principal(rows)
-    return out
+    return _unpacked(partial(_shape_ring, c, doubled, components))
 
 
 def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
@@ -206,6 +201,43 @@ def _unpacked(run) -> QPoly:
     bound = run(None)
     bits = pack_width(bound)
     return unpack(run(bits), bits, bound)
+
+
+@cache
+def _f_ring(bits: int | None):
+    # f_t packed at q = 2^bits, or its L1 norm for bits None.  One function
+    # per width, so that composition_sums memoizes Pieri's f-sums once per
+    # width
+    @cache
+    def factor(t: int) -> int:
+        return _in_ring(f_single(t), bits)
+
+    return factor
+
+
+@cache
+def _sbs_ring(rows: Parts, bits: int | None) -> int:
+    # sbs_principal(rows) at q = 2^bits; for bits None, the same recursion on
+    # L1 norms with the signs dropped
+    if not rows:
+        return 1
+    f = _f_ring(bits)
+    out = 0
+    for j in range(len(rows)):
+        sign = 1 if bits is None else (-1) ** j
+        out += sign * f(sum(rows[: j + 1])) * _sbs_ring(rows[j + 1:], bits)
+    return out
+
+
+def _shape_ring(c: int, doubled: bool, components: tuple[Parts, ...], bits: int | None) -> int:
+    # _shape_weight(c, doubled, components) at q = 2^bits; for bits None, the
+    # L1 norm of the product, which the factor (-q)^c does not change
+    out = 2 if doubled else 1
+    for rows in components:
+        out *= _sbs_ring(rows, bits)
+    if bits is None:
+        return out
+    return ((-1) ** c * out) << (c * bits)
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +341,11 @@ def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
 @cache
 def _merge_part(m: int, rest: Parts) -> tuple[tuple[int, Parts], ...]:
     # mu_1 - tau_1 joins the partition the later parts leave; composition_sums
-    # bounds tau_1 by mu_1, so the difference is never negative.  Memoized,
-    # since the L1 run and every packed width repeat the same merges
+    # bounds tau_1 by mu_1, so the difference is never negative.  The merge
+    # coefficient is 1, so the f-sums of L1 norms bound the L1 norms of the
+    # f-sums.  Memoized, since the L1 run and every packed width repeat the
+    # same merges
     return ((1, sort_desc((m,) + rest)),)
-
-
-@cache
-def _pieri_factor(bits: int | None):
-    # f_t packed at q = 2^bits, or its L1 norm for bits None; the merge
-    # coefficients of _merge_part are all 1, so the f-sums of the L1 norms
-    # bound the L1 norms of the f-sums.  One function per width, so that
-    # composition_sums memoizes the f-sums once per width
-    @cache
-    def factor(t: int) -> int:
-        return _in_ring(f_single(t), bits)
-
-    return factor
 
 
 @cache
@@ -341,7 +362,7 @@ def _g_pieri(lam: Parts, mu: Parts, bits: int | None) -> int:
         if not strips:
             continue
         sign = 1 if bits is None else (-1) ** (i - lam[0])
-        sums = composition_sums(_merge_part, mu, i, _pieri_factor(bits), negative_parts=False)
+        sums = composition_sums(_merge_part, mu, i, _f_ring(bits), negative_parts=False)
         for rest, f_sum in sums:
             inner = sum(_g_pieri(xi, rest, bits) << a for xi, a in strips)
             out += sign * f_sum * inner

@@ -129,11 +129,14 @@ def load_cached_table(n: int) -> dict[tuple[Parts, Parts], QPoly] | None:
         return None
 
 
-def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> None:
+def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> str | None:
+    """Write the JSON rendering of the table to the cache, atomically, and
+    return it; None when no cache is set."""
     path = _cache_path(n)
     if path is None:
-        return
-    body = render_table_json(n, table).encode()
+        return None
+    rendered = render_table_json(n, table)
+    body = rendered.encode()
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".chartable", dir=directory)
@@ -145,12 +148,17 @@ def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return rendered
 
 
-def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]:
+def table_with_cache(
+    n: int, method: str = "auto"
+) -> tuple[dict[tuple[Parts, Parts], QPoly], str | None]:
+    """The weight-n table, and its JSON rendering when a cache miss stored
+    one (None otherwise), so that the caller need not render it again."""
     cached = load_cached_table(n)
     if cached is not None:
-        return cached
+        return cached, None
     table = characters.char_table(n, method=method)
     if _cache_path(n) is not None:
         # cached values must agree with a second method that shares no peel
@@ -160,8 +168,8 @@ def table_with_cache(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], 
         for cell, value in table.items():
             if failure := _disagreement(_cell(*cell), {method: value, check_method: check[cell]}):
                 raise MethodDisagreementError(f"methods disagree while caching n={n} at {failure}")
-        store_cached_table(n, table)
-    return table
+        return table, store_cached_table(n, table)
+    return table, None
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +375,17 @@ def _cmd_char(args) -> int:
 
 def _cmd_table(args) -> int:
     try:
-        table = table_with_cache(args.n, method=args.method)
+        table, stored_json = table_with_cache(args.n, method=args.method)
     except OSError as exc:
         print(f"error: cannot write cache {_cache_path(args.n)}: {exc}", file=sys.stderr)
         return EXIT_IO
     except MethodDisagreementError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    rendered = TABLE_RENDERERS[args.format](args.n, table)
+    if args.format == "json" and stored_json is not None:
+        rendered = stored_json
+    else:
+        rendered = TABLE_RENDERERS[args.format](args.n, table)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

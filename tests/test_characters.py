@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -10,14 +11,16 @@ from hcchar.characters import (
     METHODS,
     BadShapeError,
     NotGdsError,
+    _f_ring,
     _finalize,
     _g_peel,
     _g_peel_ring,
     _g_pieri,
     _merge_part,
-    _pieri_factor,
     _reduced_expansion,
     _ring_expansion,
+    _sbs_ring,
+    _shape_weight,
     _unpacked,
     char_column,
     char_combinatorial,
@@ -48,6 +51,7 @@ from hcchar.partitions import (
     odd_partitions_of,
     strict_partitions_of,
     strict_subpartitions,
+    weight,
 )
 from hcchar.pfaffian import skew_Q_principal
 from hcchar.qpoly import (
@@ -231,8 +235,8 @@ def test_pieri_f_sums_pack_the_f_sums():
                 sums = composition_sums(_merge_part, mu, i)
                 for bits in (16, 48):
                     packed = {rest: pack(f, bits) for rest, f in sums}
-                    assert dict(composition_sums(_merge_part, mu, i, _pieri_factor(bits))) == packed
-                l1 = dict(composition_sums(_merge_part, mu, i, _pieri_factor(None)))
+                    assert dict(composition_sums(_merge_part, mu, i, _f_ring(bits))) == packed
+                l1 = dict(composition_sums(_merge_part, mu, i, _f_ring(None)))
                 assert all(l1_norm(f) <= l1[rest] for rest, f in sums), (mu, i)
 
 
@@ -247,8 +251,16 @@ PACKED_ROUTES = (("pieri", char_pieri), ("combinatorial", char_combinatorial))
 def fresh_packed_memos():
     # the L1 runs memoize their bounds, and the packed runs their values, so
     # a memo hit would skip a patched width or norm, and a patched one must
-    # not leak out
-    memos = (_g_pieri, _pieri_factor, _g_peel_ring, _ring_expansion)
+    # not leak out; the strip weights run on the same evaluator
+    memos = (
+        _g_pieri,
+        _f_ring,
+        _g_peel_ring,
+        _ring_expansion,
+        _sbs_ring,
+        sbs_principal,
+        _shape_weight,
+    )
     for memo in memos:
         memo.cache_clear()
     yield
@@ -256,9 +268,25 @@ def fresh_packed_memos():
         memo.cache_clear()
 
 
+def _warm_strip_weights(lam, mu):
+    # build every strip weight the combinatorial peel of (lam, mu) reads, so
+    # that a patched width or norm fails in the peel, not in a strip weight,
+    # then drop the f_t and border-strip values that building them left in
+    # the ring memos; returns the strip-weight memo's miss count, which must
+    # not move
+    for nu in strict_partitions_between((), lam):
+        for k in set(mu):
+            if k <= weight(nu):
+                gds_expansion(nu, k)
+    _f_ring.cache_clear()
+    _sbs_ring.cache_clear()
+    return _shape_weight.cache_info().misses
+
+
 def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed_memos):
     assert max(g_pieri_qpoly(*WIDE_CELL).coeffs) == 2709504
     assert _g_peel_ring(gds_expansion, *WIDE_CELL, None) == 21504
+    misses = _warm_strip_weights(*WIDE_CELL)
     monkeypatch.setattr("hcchar.characters.pack_width", lambda bound: 16)
     for method, route in PACKED_ROUTES:
         with pytest.raises(OverflowError, match="16 bits cannot hold"):
@@ -269,15 +297,101 @@ def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed
         out, err = capsys.readouterr()
         assert (code, out) == (cli.EXIT_INTERNAL, ""), method
         assert err.startswith("internal error: 16 bits cannot hold coefficients up to "), method
+    assert _shape_weight.cache_info().misses == misses
 
 
 def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_packed_memos):
     # an L1 run that under-counts: every f_t, and every reduced strip weight,
     # counted as norm 1
+    misses = _warm_strip_weights(*WIDE_CELL)
     monkeypatch.setattr("hcchar.characters.l1_norm", lambda f: 1)
     for method, route in PACKED_ROUTES:
         with pytest.raises(OverflowError, match="exceeds its bound"):
             route(*WIDE_CELL)
+    assert _shape_weight.cache_info().misses == misses
+
+
+# (1, 3, 2, 2) has border-strip coefficients up to 356 under an L1 bound of
+# 6096; the shape multiplies in (2, 1), 2 and (-q)^3
+STRIP_ROWS = (1, 3, 2, 2)
+STRIP_CALLS = (
+    ("sbs_principal", sbs_principal, (STRIP_ROWS,)),
+    ("_shape_weight", _shape_weight, (3, True, ((2, 1), STRIP_ROWS))),
+)
+
+
+@pytest.mark.parametrize(
+    "patch, match",
+    [
+        (("pack_width", lambda bound: bound.bit_length() + 1), "bits cannot hold"),
+        (("l1_norm", lambda f: 1), "exceeds its bound"),
+    ],
+    ids=["width-one-bit-short", "l1-under-counts"],
+)
+def test_strip_weights_refuse_a_width_or_bound_too_small(
+    monkeypatch, fresh_packed_memos, patch, match
+):
+    expected = {name: memo(*args) for name, memo, args in STRIP_CALLS}
+    assert max(map(abs, expected["sbs_principal"].coeffs)) == 356
+    assert _sbs_ring(STRIP_ROWS, None) == 6096
+    for memo in (_f_ring, _sbs_ring, sbs_principal, _shape_weight):
+        memo.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(f"hcchar.characters.{patch[0]}", patch[1])
+        for name, memo, args in STRIP_CALLS:
+            with pytest.raises(OverflowError, match=match):
+                memo(*args)
+            # nothing is returned, so nothing is memoized
+            assert memo.cache_info().currsize == 0, name
+    for memo in (_f_ring, _sbs_ring):
+        memo.cache_clear()
+    assert {name: memo(*args) for name, memo, args in STRIP_CALLS} == expected
+
+
+def test_sbs_l1_run_bounds_the_coarsening_sum():
+    # the L1 run of the top-block recursion bounds the L1 norm, and so every
+    # coefficient, of the border-strip value, for every composition of weight
+    # at most 10
+    checked = 0
+    for n in range(11):
+        for rows in coarsenings((1,) * n):
+            bound = _sbs_ring(rows, None)
+            reference = sbs_principal_by_coarsenings(rows)
+            assert all(abs(c) <= bound for c in reference.coeffs), rows
+            assert l1_norm(reference) <= bound, rows
+            checked += 1
+    assert checked == 1024
+
+
+def test_strip_weights_multiply_no_qpoly(monkeypatch):
+    # the combinatorial route runs its strip weights and its peel on packed
+    # ints: from cold memos, a weight-12 table multiplies QPolys only where
+    # f_single builds an f_t
+    memos = (
+        f_single,
+        _f_ring,
+        _sbs_ring,
+        sbs_principal,
+        _shape_weight,
+        _reduced_expansion,
+        _ring_expansion,
+        _g_peel_ring,
+    )
+    for memo in memos:
+        memo.cache_clear()
+    callers = []
+    original = QPoly.__mul__
+
+    def counting(self, other):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counting)
+    table = char_table(12)
+    monkeypatch.undo()
+    assert len(table) == 15 * 15
+    assert callers and set(callers) == {"f_single"}
+    assert len(callers) <= f_single.cache_info().currsize
 
 
 def test_pieri_slots_are_bounded_by_their_parts(fresh_packed_memos):

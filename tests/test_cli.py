@@ -334,6 +334,32 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert code == 0 and again == cold
 
 
+def test_cache_miss_renders_the_json_table_once(tmp_path, capsys, monkeypatch):
+    # on a miss the table is rendered once, for the cache file and stdout
+    # alike; a hit renders it once for stdout, and csv renders its own
+    calls = []
+    original = cli.render_table_json
+
+    def counting(n, table):
+        calls.append(n)
+        return original(n, table)
+
+    monkeypatch.setattr(cli, "render_table_json", counting)
+    monkeypatch.setitem(cli.TABLE_RENDERERS, "json", counting)
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    code, cold, _ = run(capsys, "table", "--n", "6", "--format", "json")
+    assert (code, calls) == (0, [6])
+    _, body = (tmp_path / "chartable_n6.json").read_bytes().split(b"\n", 1)
+    assert body == cold.encode() == original(6, cli.characters.char_table(6)).encode()
+    for fmt, renders in (("json", [6]), ("csv", [])):
+        calls.clear()
+        code, _, _ = run(capsys, "table", "--n", "6", "--format", fmt)
+        assert (code, calls) == (0, renders), fmt
+    calls.clear()
+    code, _, _ = run(capsys, "table", "--n", "5", "--format", "csv")
+    assert (code, calls) == (0, [5])
+
+
 def test_cache_cross_check_uses_a_second_method(tmp_path, capsys, monkeypatch):
     calls = []
     original = cli.characters.char_table
