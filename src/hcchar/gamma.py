@@ -3,14 +3,15 @@
 Elements are finite combinations of p_rho over odd partitions rho with
 polynomial coefficients.  Everything here is brute force by design: this
 layer is the independent oracle against which the faster algorithms are
-checked.
+checked.  The inner product is the plain sum over rho as well, run on ints
+over one common denominator per element.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, lcm
 
 from .partitions import (
     Parts,
@@ -26,15 +27,28 @@ class GammaElement:
     """Finite map from odd partitions to polynomial coefficients.
 
     Treated as immutable: operations return fresh elements and never touch
-    an existing terms dict.
+    an existing terms dict, so the integer view is derived once and kept.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_ints")
 
     def __init__(self, terms: dict[Parts, QPoly] | None = None) -> None:
         self.terms: dict[Parts, QPoly] = {
             k: v for k, v in (terms or {}).items() if not v.is_zero()
         }
+        self._ints: tuple[int, dict[Parts, tuple[int, ...]]] | None = None
+
+    def _over_common_den(self) -> tuple[int, dict[Parts, tuple[int, ...]]]:
+        """(den, ints): the least positive den that clears every coefficient,
+        and each key's coefficients times den, as an int tuple."""
+        if self._ints is None:
+            den = lcm(*(c.denominator for v in self.terms.values() for c in v.coeffs))
+            ints = {
+                k: tuple(c.numerator * (den // c.denominator) for c in v.coeffs)
+                for k, v in self.terms.items()
+            }
+            self._ints = den, ints
+        return self._ints
 
     @staticmethod
     def one() -> "GammaElement":
@@ -80,14 +94,32 @@ class GammaElement:
 
 
 def inner_product(a: GammaElement, b: GammaElement) -> QPoly:
-    """<p_rho, p_sigma> = 2^{-l(rho)} z_rho delta_{rho,sigma}, extended bilinearly."""
-    out = ZERO
-    small, large = (a, b) if len(a.terms) <= len(b.terms) else (b, a)
-    for key, va in small.terms.items():
-        vb = large.terms.get(key)
-        if vb is not None:
-            out = out + (va * vb).scale(Fraction(z_lambda(key), 2 ** len(key)))
-    return out
+    """<p_rho, p_sigma> = 2^{-l(rho)} z_rho delta_{rho,sigma}, extended bilinearly.
+
+    The sum over the shared keys rho runs on ints: with a = A/den_a and
+    b = B/den_b, it adds up A_rho B_rho z_rho 2^{L - l(rho)}, for L the
+    largest l(rho), and divides once by den_a den_b 2^L at the end."""
+    den_a, ints_a = a._over_common_den()
+    den_b, ints_b = b._over_common_den()
+    if len(ints_a) > len(ints_b):
+        ints_a, ints_b = ints_b, ints_a
+    shared = [key for key in ints_a if key in ints_b]
+    if not shared:
+        return ZERO
+    top = max(map(len, shared))
+    acc = [0] * (
+        max(len(ints_a[key]) for key in shared) + max(len(ints_b[key]) for key in shared) - 1
+    )
+    for key in shared:
+        weight = z_lambda(key) << (top - len(key))
+        ys = ints_b[key]
+        for i, x in enumerate(ints_a[key]):
+            if x:
+                x *= weight
+                for j, y in enumerate(ys, i):
+                    acc[j] += x * y
+    den = den_a * den_b << top
+    return QPoly(c // den if c % den == 0 else Fraction(c, den) for c in acc)
 
 
 @cache

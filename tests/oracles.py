@@ -131,6 +131,17 @@ def scaled(a: GammaElement, c) -> GammaElement:
     return GammaElement({rho: v * c for rho, v in a.terms.items()})
 
 
+def inner_product_by_fractions(a: GammaElement, b: GammaElement) -> QPoly:
+    """<p_rho, p_sigma> = 2^{-l(rho)} z_rho delta_{rho,sigma}, extended
+    bilinearly, term by term on the QPoly coefficients."""
+    out = ZERO
+    for key, va in a.terms.items():
+        vb = b.terms.get(key)
+        if vb is not None:
+            out = out + (va * vb).scale(Fraction(z_lambda(key), 2 ** len(key)))
+    return out
+
+
 def apply_g_star_pbasis(k: int, a: GammaElement) -> GammaElement:
     """Degree-k component of exp(sum over odd n of (t^n - 1) d/dp_n z^{-n})."""
     return apply_exp_partials_by_derivatives(k, a, q_pow_minus_one)

@@ -132,6 +132,21 @@ def test_criterion_3_five_way_agreement():
     print(f"criterion 3 PASS: {comparisons} cross-checked cells, n<={n_max}, {elapsed:.1f}s")
 
 
+def test_criterion_3_five_way_agreement_at_weights_13_and_14():
+    # the five routes on every odd cell one and two weights past criterion 3
+    start = time.perf_counter()
+    cells = 0
+    for n in (13, 14):
+        for mu in odd_partitions_of(n):
+            for lam in strict_partitions_of(n):
+                values = {name: fn(lam, mu) for name, fn in METHODS.items()}
+                assert len(set(values.values())) == 1, (lam, mu, values)
+                cells += 1
+    elapsed = time.perf_counter() - start
+    assert cells == 808
+    print(f"criterion 3 wider PASS: {cells} five-way cells at n = 13, 14, {elapsed:.1f}s")
+
+
 def test_criterion_4_orthogonality():
     for n in range(1, 9):
         ops = odd_partitions_of(n)

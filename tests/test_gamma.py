@@ -15,6 +15,8 @@ from hcchar.vertex import Q_lambda_vacuum
 from oracles import (
     apply_exp_partials_by_derivatives,
     apply_g_star_pbasis,
+    inner_product_by_fractions,
+    partitions_of,
     principal_specialize,
     scaled,
 )
@@ -37,6 +39,75 @@ def test_inner_product_values():
     assert inner_product(p_elem(1), p_elem(1)) == QPoly((Fraction(1, 2),))
     assert inner_product(p_elem(3), p_elem(1, 1, 1)) == ZERO
     assert inner_product(p_elem(3, 3, 1), p_elem(3, 3, 1)) == QPoly((Fraction(9, 4),))
+
+
+def _rational_element(rng, rhos):
+    terms = {}
+    for rho in rhos:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(4)]
+        terms[rho] = QPoly(coeffs)
+    return GammaElement(terms)
+
+
+def test_inner_product_matches_fraction_reference_on_random_elements():
+    rng = random.Random(27)
+    odd = [rho for n in range(8) for rho in odd_partitions_of(n)]
+    nonintegral = 0
+    for _ in range(300):
+        a = _rational_element(rng, rng.sample(odd, rng.randint(0, 8)))
+        b = _rational_element(rng, rng.sample(odd, rng.randint(0, 8)))
+        value = inner_product(a, b)
+        assert value == inner_product_by_fractions(a, b) == inner_product(b, a)
+        nonintegral += not value.has_integer_coeffs()
+    assert nonintegral > 100
+    # disjoint supports and the empty element pair to ZERO
+    a = _rational_element(rng, [(3,), (1, 1, 1)])
+    b = _rational_element(rng, [(5,), (3, 1, 1)])
+    for x, y in ((a, b), (a, GammaElement.zero()), (GammaElement.zero(), GammaElement.zero())):
+        assert inner_product(x, y) == inner_product_by_fractions(x, y) == ZERO
+    assert inner_product(p_elem(1), p_elem(1)).coeffs == (Fraction(1, 2),)
+    assert inner_product(GammaElement.one(), GammaElement.one()).coeffs == (1,)
+
+
+def test_inner_product_matches_fraction_reference_on_every_pairing_to_weight_9():
+    # the oracle's pairings on every cell, and sbtr_powersum's on every odd pair
+    cells = pairs = 0
+    for n in range(10):
+        for mu in partitions_of(n):
+            for lam in strict_partitions_of(n):
+                a, b = g_product(mu), Q_lambda_vacuum(lam)
+                assert inner_product(a, b) == inner_product_by_fractions(a, b), (lam, mu)
+                cells += 1
+        for mu in odd_partitions_of(n):
+            for nu in odd_partitions_of(n):
+                a, b = g_product(mu), g_product(nu)
+                assert inner_product(a, b) == inner_product_by_fractions(a, b), (mu, nu)
+                pairs += 1
+    assert (cells, pairs) == (532, 161)
+
+
+def test_warm_inner_product_multiplies_no_qpoly_and_adds_no_fraction(monkeypatch):
+    # once both elements hold their integer view, the pairing runs on ints
+    pairs = [
+        (g_product((5, 3, 1)), Q_lambda_vacuum((6, 2, 1))),
+        (g_product((3, 3, 1, 1, 1)), Q_lambda_vacuum((5, 4))),
+        (g_product((7, 1, 1)), g_product((3, 3, 3))),
+    ]
+    expected = [inner_product(a, b) for a, b in pairs]
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for cls, name in ((QPoly, "__mul__"), (Fraction, "__add__"), (Fraction, "__radd__")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    values = [inner_product(a, b) for a, b in pairs]
+    monkeypatch.undo()
+    assert calls == []
+    assert values == expected
 
 
 def test_inner_product_symmetric_and_degree_split():
