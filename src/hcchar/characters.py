@@ -52,8 +52,11 @@ a strip weight multiplies 2 when the length drops by two and its
 components' values, and in the packed run the sign (-1)^c and the shift by
 c B bits that place q^c; the L1 run leaves q^c out, since |q^c f| = |f|.
 Of all that, only the f_t themselves are built by multiplying QPolys.  The
-oracle is the one route left on QPoly, the unpacked reference the packing
-is checked against.
+character-side orthogonality sum and the two-row closed form run on the
+same evaluator.  The character routes build QPoly products in the
+Pfaffian and Q-basis lowering-step tables; the oracle pairs elements of the
+power-sum ring, int polynomials over one denominator with no packing, and
+is the unpacked reference the packing is checked against.
 
 The peel memoizes three levels, each keyed by its lowering-step table so
 that the routes never share a value: the reduced tables
@@ -108,7 +111,6 @@ from .partitions import (
 from .pfaffian import skew_Q_principal
 from .qpoly import (
     NonDivisibleError,
-    ONE,
     QPoly,
     ZERO,
     exact_div_int,
@@ -403,31 +405,32 @@ def _two_row_factor(m: int) -> tuple[QPoly, ...]:
 
 
 @cache
-def _two_row_series(mu: Parts) -> tuple[QPoly, ...]:
-    """C(v), the product over the parts m of mu of _two_row_factor(m), as
-    q-polynomials indexed by the power of v; the series of mu without its
-    last part times that part's factor.  The pairing G((k, n-k), mu) is
-    (2q-2)^{l(mu)} times signed tail sums of these coefficients, so the
-    character, G / (2 (q-1)^{l(mu)}), is 2^{l(mu)-1} times those sums."""
-    if not mu:
-        return (ONE,)
-    head, factor = _two_row_series(mu[:-1]), _two_row_factor(mu[-1])
-    series = [ZERO] * (len(head) + len(factor) - 1)
-    for i, a in enumerate(head):
-        if a:
-            for j, b in enumerate(factor):
-                if b:
-                    series[i + j] = series[i + j] + a * b
-    return tuple(series)
-
-
-@cache
-def _two_row_tails(mu: Parts) -> tuple[QPoly, ...]:
-    # entry k is the signed tail sum of C(v) from v^k up, for k = 0 .. n + 1
-    tails = [ZERO]
-    for i, c in reversed(list(enumerate(_two_row_series(mu)))):
-        tails.append(tails[-1] + c.scale((-1) ** i))
+def _two_row_tails(mu: Parts, bits: int | None) -> tuple[int, ...]:
+    # entry k is the signed tail sum from v^k up of C(v), the product over the
+    # parts m of mu of _two_row_factor(m), for k = 0 .. n + 1, with each
+    # q-polynomial packed at q = 2^bits; for bits None, the same sums of L1
+    # norms with the signs dropped.  The pairing G((k, n-k), mu) is
+    # (2q-2)^{l(mu)} times such sums, so the character, G / (2 (q-1)^{l(mu)}),
+    # is 2^{l(mu)-1} times them
+    series = [1]
+    for m in mu:
+        factor = [_in_ring(c, bits) for c in _two_row_factor(m)]
+        product = [0] * (len(series) + len(factor) - 1)
+        for i, a in enumerate(series):
+            for j, b in enumerate(factor, i):
+                product[j] += a * b
+        series = product
+    tails = [0]
+    for i, c in reversed(list(enumerate(series))):
+        tails.append(tails[-1] + (c if bits is None else (-1) ** i * c))
     return tuple(reversed(tails))
+
+
+def _two_row_ring(k: int, mu: Parts, bits: int | None) -> int:
+    # the sum of the signed tails from v^k and from v^(k+1); for bits None, a
+    # bound on its L1 norm
+    tails = _two_row_tails(mu, bits)
+    return tails[k] + tails[k + 1]
 
 
 def char_two_row(k: int, mu: Parts) -> QPoly:
@@ -439,8 +442,8 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
     n = weight(mu)
     if not (0 < n - k < k):
         raise BadShapeError(f"(k, n-k) = ({k},{n - k}) is not a two-row strict shape")
-    tails = _two_row_tails(mu)
-    return (tails[k] + tails[k + 1]).scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
+    value = _unpacked(partial(_two_row_ring, k, mu))
+    return value.scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
 
 
 def char_column(lam: Parts) -> QPoly:
@@ -515,11 +518,16 @@ def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:
     lams = strict_partitions_of(weight(mu))
     # 2^{delta_max} times the sum, in integer scales; one division at the end
     delta_max = max(delta(lam) for lam in lams)
-    out = ZERO
-    for lam in lams:
-        term = char_value(lam, mu) * char_value(lam, nu)
-        out = out + term.scale(2 ** (delta_max - delta(lam)))
+    terms = tuple(
+        (char_value(lam, mu), char_value(lam, nu), delta_max - delta(lam)) for lam in lams
+    )
     try:
-        return exact_div_int(out, 2**delta_max)
+        return exact_div_int(_unpacked(partial(_pairing_ring, terms)), 2**delta_max)
     except NonDivisibleError as exc:
         raise NonDivisibleError("orthogonality sum not integral") from exc
+
+
+def _pairing_ring(terms, bits: int | None) -> int:
+    # the sum of a b 2^shift over terms (a, b, shift) at q = 2^bits; for bits
+    # None, the same sum of L1 norms
+    return sum(_in_ring(a, bits) * _in_ring(b, bits) << shift for a, b, shift in terms)

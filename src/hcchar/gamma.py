@@ -3,52 +3,47 @@
 Elements are finite combinations of p_rho over odd partitions rho with
 polynomial coefficients.  Everything here is brute force by design: this
 layer is the independent oracle against which the faster algorithms are
-checked.  The inner product is the plain sum over rho as well, run on ints
-over one common denominator per element.
+checked.  Each element holds its coefficients as int polynomials over one
+common denominator, and every operation, the inner product included, runs
+on those ints; no Kronecker packing, so the oracle shares nothing with the
+packed evaluator it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
-from .partitions import (
-    Parts,
-    odd_partitions_of,
-    sort_desc,
-    z_lambda,
-    zt_denominator,
-)
+from .partitions import Parts, odd_partitions_of, sort_desc, z_lambda
 from .qpoly import ONE, QPoly, ZERO
 
 
 class GammaElement:
     """Finite map from odd partitions to polynomial coefficients.
 
-    Treated as immutable: operations return fresh elements and never touch
-    an existing terms dict, so the integer view is derived once and kept.
-    """
+    den is the least positive integer that clears every coefficient, and
+    ints maps each key with a nonzero coefficient to that coefficient times
+    den, an int tuple indexed by the power of q with no trailing zeros.
+    Treated as immutable: operations return fresh elements."""
 
-    __slots__ = ("terms", "_ints")
+    __slots__ = ("den", "ints")
 
     def __init__(self, terms: dict[Parts, QPoly] | None = None) -> None:
-        self.terms: dict[Parts, QPoly] = {
-            k: v for k, v in (terms or {}).items() if not v.is_zero()
+        terms = {k: v.coeffs for k, v in (terms or {}).items() if v.coeffs}
+        den = lcm(*(c.denominator for cs in terms.values() for c in cs))
+        self.den = den
+        self.ints = {
+            k: tuple(c.numerator * (den // c.denominator) for c in cs) for k, cs in terms.items()
         }
-        self._ints: tuple[int, dict[Parts, tuple[int, ...]]] | None = None
 
-    def _over_common_den(self) -> tuple[int, dict[Parts, tuple[int, ...]]]:
-        """(den, ints): the least positive den that clears every coefficient,
-        and each key's coefficients times den, as an int tuple."""
-        if self._ints is None:
-            den = lcm(*(c.denominator for v in self.terms.values() for c in v.coeffs))
-            ints = {
-                k: tuple(c.numerator * (den // c.denominator) for c in v.coeffs)
-                for k, v in self.terms.items()
-            }
-            self._ints = den, ints
-        return self._ints
+    @property
+    def terms(self) -> dict[Parts, QPoly]:
+        """The coefficients as QPolys, in a fresh dict."""
+        den = self.den
+        if den == 1:
+            return {k: QPoly(v) for k, v in self.ints.items()}
+        return {k: QPoly(Fraction(c, den) for c in v) for k, v in self.ints.items()}
 
     @staticmethod
     def one() -> "GammaElement":
@@ -59,38 +54,85 @@ class GammaElement:
         return GammaElement()
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def degree(self) -> int:
         """Largest weight among the keys; -1 for the zero element."""
-        return max((sum(k) for k in self.terms), default=-1)
+        return max((sum(k) for k in self.ints), default=-1)
 
     def items(self):
         return sorted(self.terms.items())
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, GammaElement) and self.terms == other.terms
+        return (
+            isinstance(other, GammaElement)
+            and self.den == other.den
+            and self.ints == other.ints
+        )
 
     def __add__(self, other: "GammaElement") -> "GammaElement":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, ZERO) + v
-        return GammaElement(out)
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        den = lcm(self.den, other.den)
+        acc: dict[Parts, list[int]] = {}
+        for element in (self, other):
+            scale = den // element.den
+            for k, v in element.ints.items():
+                _add_into(acc, k, v, scale)
+        return _canonical(den, acc)
 
     def __mul__(self, other: "GammaElement") -> "GammaElement":
-        out: dict[Parts, QPoly] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
+        acc: dict[Parts, list[int]] = {}
+        for ka, va in self.ints.items():
+            for kb, vb in other.ints.items():
                 key = sort_desc(ka + kb)
-                prod = va * vb
-                out[key] = out.get(key, ZERO) + prod
-        return GammaElement(out)
+                size = len(va) + len(vb) - 1
+                out = acc.get(key)
+                if out is None:
+                    out = acc[key] = [0] * size
+                elif len(out) < size:
+                    out.extend([0] * (size - len(out)))
+                for i, a in enumerate(va):
+                    if a:
+                        for j, b in enumerate(vb, i):
+                            out[j] += a * b
+        return _canonical(self.den * other.den, acc)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return "GammaElement(0)"
         bits = [f"({v.to_text('t')})*p{list(k)}" for k, v in self.items()]
         return "GammaElement(" + " + ".join(bits) + ")"
+
+
+def _add_into(acc: dict[Parts, list[int]], key: Parts, values, scale: int) -> None:
+    # acc[key] += scale * values, coefficient by coefficient
+    out = acc.get(key)
+    if out is None:
+        acc[key] = [scale * c for c in values]
+        return
+    if len(out) < len(values):
+        out.extend([0] * (len(values) - len(out)))
+    for i, c in enumerate(values):
+        out[i] += scale * c
+
+
+def _canonical(den: int, acc: dict[Parts, list[int]]) -> GammaElement:
+    # the element with coefficients acc / den: trailing zeros and zero keys
+    # dropped, and den and every coefficient divided by their gcd
+    ints = {}
+    for k, cs in acc.items():
+        while cs and not cs[-1]:
+            cs.pop()
+        if cs:
+            ints[k] = cs
+    g = gcd(den, *(c for cs in ints.values() for c in cs))
+    out = GammaElement.__new__(GammaElement)
+    out.den = den // g
+    out.ints = {k: tuple(c // g for c in cs) for k, cs in ints.items()}
+    return out
 
 
 def inner_product(a: GammaElement, b: GammaElement) -> QPoly:
@@ -99,8 +141,7 @@ def inner_product(a: GammaElement, b: GammaElement) -> QPoly:
     The sum over the shared keys rho runs on ints: with a = A/den_a and
     b = B/den_b, it adds up A_rho B_rho z_rho 2^{L - l(rho)}, for L the
     largest l(rho), and divides once by den_a den_b 2^L at the end."""
-    den_a, ints_a = a._over_common_den()
-    den_b, ints_b = b._over_common_den()
+    ints_a, ints_b = a.ints, b.ints
     if len(ints_a) > len(ints_b):
         ints_a, ints_b = ints_b, ints_a
     shared = [key for key in ints_a if key in ints_b]
@@ -118,7 +159,7 @@ def inner_product(a: GammaElement, b: GammaElement) -> QPoly:
                 x *= weight
                 for j, y in enumerate(ys, i):
                     acc[j] += x * y
-    den = den_a * den_b << top
+    den = a.den * b.den << top
     return QPoly(c // den if c % den == 0 else Fraction(c, den) for c in acc)
 
 
@@ -127,14 +168,20 @@ def expand_q_n(n: int) -> GammaElement:
     """One-row Q-function: sum over odd rho of n of 2^{l(rho)}/z_rho p_rho."""
     if n < 0:
         return GammaElement.zero()
-    if n == 0:
-        return GammaElement.one()
-    return GammaElement(
-        {
-            rho: QPoly((Fraction(2 ** len(rho), z_lambda(rho)),))
-            for rho in odd_partitions_of(n)
-        }
-    )
+    rhos = odd_partitions_of(n)
+    den = lcm(*map(z_lambda, rhos))
+    return _canonical(den, {rho: [2 ** len(rho) * (den // z_lambda(rho))] for rho in rhos})
+
+
+def _zt_ints(rho: Parts) -> list[int]:
+    # prod_i (1 - t^{rho_i}), the polynomial part of 1/z_rho(t), by the power of t
+    out = [1]
+    for part in rho:
+        nxt = out + [0] * part
+        for i, c in enumerate(out, part):
+            nxt[i] -= c
+        out = nxt
+    return out
 
 
 @cache
@@ -143,13 +190,15 @@ def expand_g_n(n: int) -> GammaElement:
     (-2)^{l(rho)}/z_rho(t) p_rho, with 1/z(t) kept polynomial-over-integer."""
     if n < 0:
         return GammaElement.zero()
-    if n == 0:
-        return GammaElement.one()
-    terms = {}
-    for rho in odd_partitions_of(n):
-        coeff = zt_denominator(rho).scale(Fraction((-2) ** len(rho), z_lambda(rho)))
-        terms[rho] = coeff
-    return GammaElement(terms)
+    rhos = odd_partitions_of(n)
+    den = lcm(*map(z_lambda, rhos))
+    return _canonical(
+        den,
+        {
+            rho: [c * (-2) ** len(rho) * (den // z_lambda(rho)) for c in _zt_ints(rho)]
+            for rho in rhos
+        },
+    )
 
 
 @cache
@@ -184,9 +233,8 @@ def apply_exp_partials(k: int, a: GammaElement) -> GammaElement:
         return a
     if k < 0:
         raise ValueError("negative degree")
-    out: dict[Parts, QPoly] = {}
-    for rho, coeff in a.terms.items():
+    acc: dict[Parts, list[int]] = {}
+    for rho, values in a.ints.items():
         for sigma, rest, count in _sub_multisets(rho, k):
-            value = coeff.scale(-count if len(sigma) % 2 else count)
-            out[rest] = out.get(rest, ZERO) + value
-    return GammaElement(out)
+            _add_into(acc, rest, values, -count if len(sigma) % 2 else count)
+    return _canonical(a.den, acc)

@@ -13,7 +13,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .qpoly import NonDivisibleError, ONE, QPoly, q_pow_minus_one
+from .qpoly import NonDivisibleError
 
 Parts = tuple[int, ...]
 
@@ -85,14 +85,6 @@ def z_lambda(parts: Parts) -> int:
     for value, m in multiplicities(parts).items():
         z *= value**m * factorial(m)
     return z
-
-
-def zt_denominator(parts: Parts) -> QPoly:
-    """prod_i (1 - t^{part_i}); the polynomial part of 1/z(t)."""
-    out = ONE
-    for p in parts:
-        out = out * -q_pow_minus_one(p)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,6 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def monomial(c: Scalar, exp: int) -> "QPoly":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        return QPoly((0,) * exp + (c,))
-
     @property
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
@@ -255,12 +249,6 @@ def unpack(value: int, bits: int, bound: int) -> QPoly:
         digits.append(digit)
         value = (value - digit) >> bits
     return QPoly(digits)
-
-
-@cache
-def q_pow_minus_one(r: int) -> QPoly:
-    """q^r - 1 for r >= 0."""
-    return QPoly.monomial(1, r) - ONE
 
 
 @cache

@@ -5,8 +5,8 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from hcchar.characters import _merge_part
-from hcchar.gamma import GammaElement
+from hcchar.characters import _merge_part, _two_row_factor, char_value
+from hcchar.gamma import GammaElement, _sub_multisets
 from hcchar.partitions import (
     Parts,
     SkewClassification,
@@ -14,15 +14,39 @@ from hcchar.partitions import (
     _descending_parts,
     bounded_compositions,
     contains,
+    delta,
     multiplicities,
+    nonzero_length,
     odd_partitions_of,
     pieri_strips,
     sort_desc,
+    strict_partitions_of,
     z_lambda,
 )
 from hcchar.pfaffian import AntisymMatrix
-from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, q_pow_minus_one
+from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, exact_div_int
 from hcchar.vertex import composition_sums, f_single, straighten
+
+
+def monomial(c, exp: int) -> QPoly:
+    """c q^exp."""
+    if exp < 0:
+        raise ValueError("negative exponent")
+    return QPoly((0,) * exp + (c,))
+
+
+@cache
+def q_pow_minus_one(r: int) -> QPoly:
+    """q^r - 1 for r >= 0."""
+    return monomial(1, r) - ONE
+
+
+def zt_denominator(parts: Parts) -> QPoly:
+    """prod_i (1 - t^{part_i}); the polynomial part of 1/z(t)."""
+    out = ONE
+    for p in parts:
+        out = out * -q_pow_minus_one(p)
+    return out
 
 
 @cache
@@ -100,7 +124,7 @@ def strip_weight_by_classification(cls: SkewClassification) -> QPoly:
     """Reference for characters._strip_weight: (-q)^c, times 2 when the
     length drops by two, times the coarsening sum of every component, taken
     in the classification's own order."""
-    out = QPoly.monomial((-1) ** cls.c, cls.c)
+    out = monomial((-1) ** cls.c, cls.c)
     if cls.l_jump == 2:
         out = out.scale(2)
     for rows in cls.beta_components:
@@ -415,3 +439,135 @@ def apply_exp_partials_by_derivatives(k: int, a: GammaElement, weight) -> GammaE
                 break
         out = out + scaled(partial, _exp_coefficient(weight, sigma))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the power-sum ring and the character-side closed forms in QPoly arithmetic:
+# references for the int forms in gamma.py and characters.py.  An element is
+# a dict from odd partitions to nonzero QPoly coefficients, as
+# GammaElement.terms gives it.
+
+Terms = dict[Parts, QPoly]
+
+
+def _nonzero(terms: Terms) -> Terms:
+    return {k: v for k, v in terms.items() if not v.is_zero()}
+
+
+def add_terms(a: Terms, b: Terms) -> Terms:
+    """Reference for GammaElement.__add__."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, ZERO) + v
+    return _nonzero(out)
+
+
+def mul_terms(a: Terms, b: Terms) -> Terms:
+    """Reference for GammaElement.__mul__: p_rho p_sigma = p_{rho + sigma}."""
+    out: Terms = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            key = sort_desc(ka + kb)
+            out[key] = out.get(key, ZERO) + va * vb
+    return _nonzero(out)
+
+
+def apply_exp_partials_terms(k: int, a: Terms) -> Terms:
+    """Reference for gamma.apply_exp_partials."""
+    if k == 0:
+        return dict(a)
+    out: Terms = {}
+    for rho, coeff in a.items():
+        for sigma, rest, count in _sub_multisets(rho, k):
+            value = coeff.scale(-count if len(sigma) % 2 else count)
+            out[rest] = out.get(rest, ZERO) + value
+    return _nonzero(out)
+
+
+def expand_q_n_terms(n: int) -> Terms:
+    """Reference for gamma.expand_q_n."""
+    if n < 0:
+        return {}
+    if n == 0:
+        return {(): ONE}
+    return {rho: QPoly((Fraction(2 ** len(rho), z_lambda(rho)),)) for rho in odd_partitions_of(n)}
+
+
+def expand_g_n_terms(n: int) -> Terms:
+    """Reference for gamma.expand_g_n."""
+    if n < 0:
+        return {}
+    if n == 0:
+        return {(): ONE}
+    return {
+        rho: zt_denominator(rho).scale(Fraction((-2) ** len(rho), z_lambda(rho)))
+        for rho in odd_partitions_of(n)
+    }
+
+
+@cache
+def g_product_terms(mu: Parts) -> Terms:
+    """Reference for gamma.g_product."""
+    out = {(): ONE}
+    for part in mu:
+        out = mul_terms(out, expand_g_n_terms(part))
+    return out
+
+
+@cache
+def Q_lambda_vacuum_terms(lam: Parts) -> Terms:
+    """Reference for vertex.Q_lambda_vacuum, through vertex.apply_Q_m's sum."""
+    if not lam:
+        return {(): ONE}
+    a, m = Q_lambda_vacuum_terms(lam[1:]), lam[0]
+    out: Terms = {}
+    for j in range(max(0, -m), max((sum(k) for k in a), default=-1) + 1):
+        lowered = apply_exp_partials_terms(j, a)
+        if lowered:
+            out = add_terms(out, mul_terms(expand_q_n_terms(m + j), lowered))
+    return out
+
+
+def orthogonality_sum_by_qpoly(mu: Parts, nu: Parts) -> QPoly:
+    """Reference for characters.orthogonality_sum: the sum over strict lam of
+    2^{delta_max - delta(lam)} times the product of the two character
+    values, in QPoly arithmetic, divided by 2^{delta_max}."""
+    mu, nu = sort_desc(mu), sort_desc(nu)
+    lams = strict_partitions_of(sum(mu))
+    delta_max = max(delta(lam) for lam in lams)
+    out = ZERO
+    for lam in lams:
+        term = char_value(lam, mu) * char_value(lam, nu)
+        out = out + term.scale(2 ** (delta_max - delta(lam)))
+    return exact_div_int(out, 2**delta_max)
+
+
+@cache
+def two_row_series_by_qpoly(mu: Parts) -> tuple[QPoly, ...]:
+    """C(v), the product over the parts m of mu of _two_row_factor(m), as
+    q-polynomials indexed by the power of v."""
+    if not mu:
+        return (ONE,)
+    head, factor = two_row_series_by_qpoly(mu[:-1]), _two_row_factor(mu[-1])
+    series = [ZERO] * (len(head) + len(factor) - 1)
+    for i, a in enumerate(head):
+        if a:
+            for j, b in enumerate(factor):
+                if b:
+                    series[i + j] = series[i + j] + a * b
+    return tuple(series)
+
+
+def two_row_tails_by_qpoly(mu: Parts) -> tuple[QPoly, ...]:
+    """Entry k is the signed tail sum of C(v) from v^k up, for k = 0 .. n + 1."""
+    tails = [ZERO]
+    for i, c in reversed(list(enumerate(two_row_series_by_qpoly(mu)))):
+        tails.append(tails[-1] + c.scale((-1) ** i))
+    return tuple(reversed(tails))
+
+
+def char_two_row_by_qpoly(k: int, mu: Parts) -> QPoly:
+    """Reference for characters.char_two_row, on the QPoly tails."""
+    mu = sort_desc(mu)
+    tails = two_row_tails_by_qpoly(mu)
+    return (tails[k] + tails[k + 1]).scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))

@@ -7,6 +7,7 @@ import time
 from hcchar.bitrace import alpha, regular_char, sbtr, sbtr_powersum
 from hcchar.characters import (
     METHODS,
+    _g_peel_ring,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -33,7 +34,7 @@ from hcchar.partitions import (
     z_lambda,
 )
 from hcchar.pfaffian import AntisymMatrix, pfaffian, skew_Q_principal
-from hcchar.qpoly import QPoly, ZERO
+from hcchar.qpoly import QPoly, ZERO, pack_width
 from hcchar.vertex import Q_lambda_vacuum, apply_Q_m
 from oracles import (
     alpha_direct_sum,
@@ -145,6 +146,29 @@ def test_criterion_3_five_way_agreement_at_weights_13_and_14():
     elapsed = time.perf_counter() - start
     assert cells == 808
     print(f"criterion 3 wider PASS: {cells} five-way cells at n = 13, 14, {elapsed:.1f}s")
+
+
+def test_criterion_3_five_way_agreement_on_samples_at_weights_15_to_18():
+    # seeded samples of odd cells past the exhaustive weights: 12 cells at
+    # n = 15 and 16 and 8 at n = 17 and 18, each sample holding the cell whose
+    # packed value needs the widest width, the one with the largest L1 bound
+    # on the combinatorial route (the first in table order on a tie)
+    start = time.perf_counter()
+    rng = random.Random(2815)
+    cells = 0
+    for n, size in ((15, 12), (16, 12), (17, 8), (18, 8)):
+        odd_cells = [(lam, mu) for mu in odd_partitions_of(n) for lam in strict_partitions_of(n)]
+        bounds = [_g_peel_ring(gds_expansion, lam, mu, None) for lam, mu in odd_cells]
+        widest = odd_cells[bounds.index(max(bounds))]
+        sample = [widest] + rng.sample([c for c in odd_cells if c != widest], size - 1)
+        for lam, mu in sample:
+            values = {name: fn(lam, mu) for name, fn in METHODS.items()}
+            assert len(set(values.values())) == 1, (lam, mu, values)
+            cells += 1
+        assert pack_width(max(bounds)) == (32 if n == 15 else 48), n
+    elapsed = time.perf_counter() - start
+    assert cells == 40
+    print(f"criterion 3 sampled PASS: {cells} five-way cells at n = 15..18, {elapsed:.1f}s")
 
 
 def test_criterion_4_orthogonality():

@@ -21,6 +21,8 @@ from hcchar.characters import (
     _ring_expansion,
     _sbs_ring,
     _shape_weight,
+    _two_row_factor,
+    _two_row_tails,
     _unpacked,
     char_column,
     char_combinatorial,
@@ -66,11 +68,13 @@ from hcchar.qpoly import (
 )
 from hcchar.vertex import Q_lambda_vacuum, composition_sums, f_single, qbasis_expansion
 from oracles import (
+    char_two_row_by_qpoly,
     coarsenings,
     determinant,
     f_coeff,
     g_peel_unreduced,
     g_pieri_qpoly,
+    orthogonality_sum_by_qpoly,
     partitions_of,
     pieri_f_sums_by_composition,
     sbs_principal_by_coarsenings,
@@ -459,6 +463,67 @@ def test_two_row_series_matches_definitional_sums():
                     lhs = lhs + direct[i].scale((-1) ** (i - k))
                 expect = exact_div_qminus1_pow(lhs, nonzero_length(mu)).scale(Fraction(1, 2))
                 assert char_two_row(k, mu) == expect, (k, mu)
+
+
+def test_two_row_form_matches_qpoly_reference_to_weight_16():
+    # the tails built in ints, once per width, against the same tails in
+    # QPoly arithmetic, on every two-row cell with n <= 16
+    cells = 0
+    for n in range(17):
+        for mu in odd_partitions_of(n):
+            for k in range(n // 2 + 1, n):
+                assert char_two_row(k, mu) == char_two_row_by_qpoly(k, mu), (k, mu)
+                cells += 1
+    assert cells == 911
+
+
+def test_orthogonality_sum_matches_qpoly_reference():
+    # every ordered odd pair with n <= 10, and every pair with a non-odd
+    # class with n <= 7, against the sum of QPoly products
+    pairs = 0
+    for n in range(11):
+        classes = partitions_of(n) if n <= 7 else odd_partitions_of(n)
+        for mu in classes:
+            for nu in classes:
+                assert orthogonality_sum(mu, nu) == orthogonality_sum_by_qpoly(mu, nu), (mu, nu)
+                pairs += 1
+    assert pairs == sum(len(partitions_of(n)) ** 2 for n in range(8)) + 6**2 + 8**2 + 10**2
+
+
+def test_character_pairing_and_two_row_form_multiply_no_qpoly(monkeypatch):
+    # both run on ints through _unpacked: with the f_t and the two-row
+    # factors built, a cold pairing and a cold two-row value neither multiply
+    # a QPoly nor add a Fraction
+    mu, nu = (3, 3, 1, 1, 1, 1), (5, 3, 1, 1)
+    for n in range(11):
+        f_single(n)
+        _two_row_factor(n)
+    memos = (
+        _f_ring,
+        _sbs_ring,
+        sbs_principal,
+        _shape_weight,
+        _reduced_expansion,
+        _ring_expansion,
+        _g_peel_ring,
+        _two_row_tails,
+    )
+    for memo in memos:
+        memo.cache_clear()
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for cls, name in ((QPoly, "__mul__"), (Fraction, "__add__"), (Fraction, "__radd__")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    values = orthogonality_sum(mu, nu), char_two_row(7, mu)
+    monkeypatch.undo()
+    assert calls == []
+    assert values == (orthogonality_sum_by_qpoly(mu, nu), char_two_row_by_qpoly(7, mu))
 
 
 def _int_horner(f: QPoly, x: int) -> int:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from hcchar.gamma import (
     GammaElement,
@@ -13,9 +14,16 @@ from hcchar.partitions import odd_partitions_of, strict_partitions_of
 from hcchar.qpoly import ONE, QPoly, ZERO, round_bracket
 from hcchar.vertex import Q_lambda_vacuum
 from oracles import (
+    Q_lambda_vacuum_terms,
+    add_terms,
     apply_exp_partials_by_derivatives,
+    apply_exp_partials_terms,
     apply_g_star_pbasis,
+    expand_g_n_terms,
+    expand_q_n_terms,
+    g_product_terms,
     inner_product_by_fractions,
+    mul_terms,
     partitions_of,
     principal_specialize,
     scaled,
@@ -108,6 +116,96 @@ def test_warm_inner_product_multiplies_no_qpoly_and_adds_no_fraction(monkeypatch
     monkeypatch.undo()
     assert calls == []
     assert values == expected
+
+
+def assert_canonical(a: GammaElement) -> None:
+    # den is the least positive common denominator of the coefficients, and
+    # every kept key has a nonzero int tuple with no trailing zero
+    assert type(a.den) is int and a.den > 0
+    for values in a.ints.values():
+        assert type(values) is tuple and values and values[-1]
+        assert all(type(c) is int for c in values)
+    assert gcd(a.den, *(c for values in a.ints.values() for c in values)) == 1
+    assert a.den == lcm(*(c.denominator for v in a.terms.values() for c in v.coeffs))
+    assert GammaElement(a.terms) == a
+
+
+def test_int_algebra_matches_qpoly_reference_on_random_elements():
+    # rational coefficients of both signs, supports that overlap, miss each
+    # other or are empty, sums that cancel to zero and non-integral results
+    rng = random.Random(28)
+    odd = [rho for n in range(7) for rho in odd_partitions_of(n)]
+    nonintegral = cancelled = 0
+    for _ in range(200):
+        a = _rational_element(rng, rng.sample(odd, rng.randint(0, 6)))
+        b = _rational_element(rng, rng.sample(odd, rng.randint(0, 6)))
+        negated = GammaElement({k: -v for k, v in a.terms.items()})
+        cases = [
+            (a + b, add_terms(a.terms, b.terms)),
+            (a + negated, {}),
+            (negated + a + b, b.terms),
+            (a * b, mul_terms(a.terms, b.terms)),
+            (a * GammaElement.zero(), {}),
+            (a * GammaElement.one(), a.terms),
+        ]
+        cases += [
+            (apply_exp_partials(k, a), apply_exp_partials_terms(k, a.terms)) for k in range(7)
+        ]
+        for value, expected in cases:
+            assert value.terms == expected
+            assert_canonical(value)
+            nonintegral += value.den > 1
+        cancelled += (a + negated).is_zero() and not a.is_zero()
+    assert nonintegral > 500 and cancelled > 100
+    disjoint = _rational_element(rng, [(3,), (1, 1, 1)]) + _rational_element(rng, [(5,)])
+    assert sorted(disjoint.terms) == [(1, 1, 1), (3,), (5,)]
+    assert GammaElement.zero().den == 1 and GammaElement.zero().ints == {}
+
+
+def test_expansions_match_qpoly_reference():
+    for n in range(-1, 14):
+        for element, expected in ((expand_q_n(n), expand_q_n_terms(n)),
+                                  (expand_g_n(n), expand_g_n_terms(n))):
+            assert element.terms == expected, n
+            assert_canonical(element)
+
+
+def test_oracle_elements_match_qpoly_reference_to_weight_9():
+    # every element the oracle pairs on a cell with n <= 9, built in ints,
+    # against the same products and translations in QPoly arithmetic
+    keys = 0
+    for n in range(10):
+        for mu in partitions_of(n):
+            assert g_product(mu).terms == g_product_terms(mu), mu
+            assert_canonical(g_product(mu))
+            keys += 1
+        for lam in strict_partitions_of(n):
+            assert Q_lambda_vacuum(lam).terms == Q_lambda_vacuum_terms(lam), lam
+            assert_canonical(Q_lambda_vacuum(lam))
+            keys += 1
+    assert keys == 97 + 33
+
+
+def test_cold_oracle_elements_multiply_no_qpoly_and_add_no_fraction(monkeypatch):
+    # the deformed generator products and Q_lam.1 are built in ints from the
+    # start: cold at weight 10, neither multiplies a QPoly or adds a Fraction
+    mu, lam = (3, 3, 1, 1, 1, 1), (5, 4, 1)
+    for memo in (g_product, expand_g_n, expand_q_n, Q_lambda_vacuum):
+        memo.cache_clear()
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for cls, name in ((QPoly, "__mul__"), (Fraction, "__add__"), (Fraction, "__radd__")):
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    elements = g_product(mu), Q_lambda_vacuum(lam)
+    monkeypatch.undo()
+    assert calls == []
+    assert [e.terms for e in elements] == [g_product_terms(mu), Q_lambda_vacuum_terms(lam)]
 
 
 def test_inner_product_symmetric_and_degree_split():

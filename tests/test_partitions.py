@@ -19,7 +19,6 @@ from hcchar.partitions import (
     strict_subpartitions,
     weight,
     z_lambda,
-    zt_denominator,
 )
 from hcchar.qpoly import ONE, QPoly
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     shifted_cells,
     shifted_syt_count_enumerated,
     strict_partitions_between,
+    zt_denominator,
 )
 
 
