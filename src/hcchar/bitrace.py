@@ -23,6 +23,7 @@ from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
     bounded_compositions,
+    ensure_int_parts,
     ensure_partition,
     is_odd_partition,
     nonzero_length,
@@ -90,8 +91,10 @@ def _T(mu: Parts, nu: Parts) -> QPoly:
 
 
 def _classes(mu: Parts, nu: Parts) -> tuple[Parts, Parts]:
-    # both classes sorted, each a partition, and the two of one weight
-    mu, nu = ensure_partition(sort_desc(mu), "mu"), ensure_partition(sort_desc(nu), "nu")
+    # both classes sorted, each a partition of int parts, and the two of one
+    # weight
+    mu = ensure_partition(sort_desc(ensure_int_parts(mu, "mu")), "mu")
+    nu = ensure_partition(sort_desc(ensure_int_parts(nu, "nu")), "nu")
     if weight(mu) != weight(nu):
         raise WeightMismatchError(f"|{mu}| != |{nu}|")
     return mu, nu
@@ -104,7 +107,7 @@ def T_mu_nu(mu: Parts, nu: Parts) -> QPoly:
 
 def sbtr(mu: Parts, nu: Parts) -> QPoly:
     """Spin bitrace: T(mu, nu) divided exactly by (q-1)^{l(mu)+l(nu)}."""
-    mu, nu = sort_desc(mu), sort_desc(nu)
+    mu, nu = _classes(mu, nu)
     value = T_mu_nu(mu, nu)
     return exact_div_qminus1_pow(value, nonzero_length(mu) + nonzero_length(nu))
 
@@ -120,7 +123,7 @@ def sbtr_powersum(mu: Parts, nu: Parts) -> QPoly:
 def regular_char(mu: Parts) -> QPoly:
     """Trace of the regular representation on the class of mu:
     2^n (q-1)^{n-l(mu)} n! / prod_i mu_i!."""
-    mu = sort_desc(mu)
+    mu = sort_desc(ensure_int_parts(mu, "mu"))
     if not is_odd_partition(mu):
         raise ValueError(f"regular character needs odd mu, got {mu}")
     n = weight(mu)

@@ -10,6 +10,17 @@ Every route but the strip-weight recursion takes every class mu; that one
 needs odd mu.  char_value's auto method picks the strip-weight recursion
 for odd mu and the Pieri recursion otherwise.
 
+Input is checked once, where it enters.  Each public route validates
+(lam, mu) in _validate: int parts, lam a strict partition, mu sorted into
+a partition of the same weight, and for the strip-weight route odd mu.  It
+then hands the canonical pair to its private core (_CORES), which checks
+nothing.  char_value under auto validates once, tests mu for oddness once
+and runs a core; under a named method it runs that method's public route.
+char_table checks only its weight and method: the cells of table_cells are
+canonical by construction, with odd mu, so it calls the method's core on
+each directly.  The closed forms and orthogonality_sum check their own
+arguments, and bitrace checks its classes in _classes.
+
 What the routes share: the recursive, pfaffian and combinatorial routes
 run one peel, _g_peel, over three lowering-step tables, so only the oracle
 and Pieri check the peel itself; the table cache checks its tables against
@@ -95,6 +106,7 @@ from .partitions import (
     SkewKind,
     classify_skew,
     delta,
+    ensure_int_parts,
     ensure_partition,
     ensure_strict_partition,
     epsilon,
@@ -258,8 +270,10 @@ def _finalize(reduced: QPoly, lam: Parts, mu: Parts) -> QPoly:
 
 
 def _validate(lam: Parts, mu: Parts) -> tuple[Parts, Parts]:
-    lam = ensure_strict_partition(tuple(lam), "lam") if lam else ()
-    mu = sort_desc(mu)
+    # the canonical (lam, mu) that every route core assumes: lam a strict
+    # partition, mu sorted into a partition of the same weight, all parts ints
+    lam = ensure_strict_partition(ensure_int_parts(lam, "lam"), "lam") if lam else ()
+    mu = sort_desc(ensure_int_parts(mu, "mu"))
     if mu:
         ensure_partition(mu, "mu")
     if weight(lam) != weight(mu):
@@ -268,12 +282,16 @@ def _validate(lam: Parts, mu: Parts) -> tuple[Parts, Parts]:
 
 
 # ---------------------------------------------------------------------------
-# the five routes
+# the five routes: each public function validates its input and hands the
+# canonical (lam, mu) to its core, which checks nothing
 
 def char_oracle(lam: Parts, mu: Parts) -> QPoly:
     """Brute force: pair the product of deformed generators with Q_lam.1 in
     the power-sum basis."""
-    lam, mu = _validate(lam, mu)
+    return _oracle_core(*_validate(lam, mu))
+
+
+def _oracle_core(lam: Parts, mu: Parts) -> QPoly:
     g_value = inner_product(g_product(mu), Q_lambda_vacuum(lam))
     return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
 
@@ -322,13 +340,19 @@ def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
 
 def char_recursive(lam: Parts, mu: Parts) -> QPoly:
     """Lowering recursion on the Q-basis, one part of mu at a time."""
-    lam, mu = _validate(lam, mu)
+    return _recursive_core(*_validate(lam, mu))
+
+
+def _recursive_core(lam: Parts, mu: Parts) -> QPoly:
     return _finalize(_g_peel(qbasis_expansion, lam, mu), lam, mu)
 
 
 def char_pfaffian(lam: Parts, mu: Parts) -> QPoly:
     """Peel parts of mu through the Pfaffian form of the lowering step."""
-    lam, mu = _validate(lam, mu)
+    return _pfaffian_core(*_validate(lam, mu))
+
+
+def _pfaffian_core(lam: Parts, mu: Parts) -> QPoly:
     return _finalize(_g_peel(pfaffian_expansion, lam, mu), lam, mu)
 
 
@@ -337,6 +361,11 @@ def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
     lam, mu = _validate(lam, mu)
     if not is_odd_partition(mu):
         raise ValueError(f"combinatorial rule needs odd mu, got {mu}")
+    return _combinatorial_core(lam, mu)
+
+
+def _combinatorial_core(lam: Parts, mu: Parts) -> QPoly:
+    # mu odd as well as canonical
     return _finalize(_g_peel(gds_expansion, lam, mu), lam, mu)
 
 
@@ -375,7 +404,10 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
     """Recursion on the indexing partition through the Pieri rule, run on
     L1 norms for a coefficient bound, then on values packed at q = 2^bits
     with bits wide enough for that bound."""
-    lam, mu = _validate(lam, mu)
+    return _pieri_core(*_validate(lam, mu))
+
+
+def _pieri_core(lam: Parts, mu: Parts) -> QPoly:
     g_value = _unpacked(partial(_g_pieri, lam, mu))
     return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
 
@@ -385,7 +417,7 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
 
 def char_one_row(mu: Parts) -> QPoly:
     """lam = (n): 2^{l(mu)} (mu)_q."""
-    mu = sort_desc(mu)
+    mu = sort_desc(ensure_int_parts(mu, "mu"))
     if not is_odd_partition(mu):
         raise ValueError(f"one-row closed form needs odd mu, got {mu}")
     out = QPoly((2 ** nonzero_length(mu),))
@@ -436,7 +468,7 @@ def _two_row_ring(k: int, mu: Parts, bits: int | None) -> int:
 def char_two_row(k: int, mu: Parts) -> QPoly:
     """lam = (k, n-k) with n-k < k < n, via the generating function whose
     v-coefficients collect the split products of f over both arguments."""
-    mu = sort_desc(mu)
+    mu = sort_desc(ensure_int_parts(mu, "mu"))
     if not is_odd_partition(mu):
         raise ValueError(f"two-row closed form needs odd mu, got {mu}")
     n = weight(mu)
@@ -448,14 +480,14 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
 
 def char_column(lam: Parts) -> QPoly:
     """mu = (1^n): 2^{n - eps(lam)} times the shifted tableau count."""
-    lam = ensure_strict_partition(tuple(lam), "lam") if lam else ()
+    lam = ensure_strict_partition(ensure_int_parts(lam, "lam"), "lam") if lam else ()
     n = weight(lam)
     return QPoly((2 ** (n - epsilon(lam)) * shifted_syt_count(lam),))
 
 
 def char_hook_mu(lam: Parts, k: int) -> QPoly:
     """mu = (k, 1^{n-k}) with k odd: strip weights against tableau counts."""
-    lam = ensure_strict_partition(tuple(lam), "lam") if lam else ()
+    lam = ensure_strict_partition(ensure_int_parts(lam, "lam"), "lam") if lam else ()
     n = weight(lam)
     if k % 2 == 0 or k < 1 or k > n:
         raise BadShapeError(f"hook class needs odd k <= {n}, got {k}")
@@ -479,17 +511,39 @@ METHODS = {
 }
 
 
+def _auto_core(lam: Parts, mu: Parts) -> QPoly:
+    # the strip-weight recursion for odd mu, Pieri for every other class
+    if is_odd_partition(mu):
+        return _combinatorial_core(lam, mu)
+    return _pieri_core(lam, mu)
+
+
+# the route cores by method name, for input already canonical
+_CORES = {
+    "auto": _auto_core,
+    "oracle": _oracle_core,
+    "recursive": _recursive_core,
+    "pfaffian": _pfaffian_core,
+    "combinatorial": _combinatorial_core,
+    "pieri": _pieri_core,
+}
+
+
+def _core(method: str):
+    if method not in _CORES:
+        raise ValueError(f"unknown method {method!r}")
+    return _CORES[method]
+
+
 def char_value(lam: Parts, mu: Parts, method: str = "auto") -> QPoly:
     """Compute one character value with the chosen method.  auto picks the
     strip-weight recursion for odd mu and the Pieri recursion, which takes
     every class, otherwise; every method but combinatorial takes every
-    class."""
+    class.  The input is checked once: auto validates it and runs a core,
+    a named method runs its public route."""
+    core = _core(method)
     if method == "auto":
-        if is_odd_partition(sort_desc(mu)):
-            return char_combinatorial(lam, mu)
-        return char_pieri(lam, mu)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        return core(*_validate(lam, mu))
     return METHODS[method](lam, mu)
 
 
@@ -505,14 +559,18 @@ def table_cells(n: int):
 
 
 def char_table(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]:
-    """All character values for weight n, keyed in table_cells order."""
-    return {(lam, mu): char_value(lam, mu, method=method) for lam, mu in table_cells(n)}
+    """All character values for weight n, keyed in table_cells order.  The
+    cells are canonical by construction, with odd mu, so each goes to the
+    method's core unvalidated."""
+    cells = list(table_cells(n))  # a negative n is reported before the method
+    core = _core(method)
+    return {(lam, mu): core(lam, mu) for lam, mu in cells}
 
 
 def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:
     """Sum over strict lam of 2^{-delta(lam)} times the product of character
     values at mu and nu; the character-side form of the spin bitrace."""
-    mu, nu = sort_desc(mu), sort_desc(nu)
+    mu, nu = sort_desc(ensure_int_parts(mu, "mu")), sort_desc(ensure_int_parts(nu, "nu"))
     if weight(mu) != weight(nu):
         raise ValueError("weights differ")
     lams = strict_partitions_of(weight(mu))

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
+from itertools import repeat
 from math import factorial
+from operator import ge, gt, le, mod
 from typing import NamedTuple
 
 from .qpoly import NonDivisibleError
@@ -26,7 +28,7 @@ def weight(parts: Parts) -> int:
 
 
 def nonzero_length(parts: Parts) -> int:
-    return sum(1 for p in parts if p)
+    return sum(map(bool, parts))
 
 
 def delta(parts: Parts) -> int:
@@ -39,20 +41,30 @@ def epsilon(parts: Parts) -> int:
     return nonzero_length(parts) // 2
 
 
+# The predicates below iterate in C (map over operator functions) rather
+# than in generator expressions: shape enumeration calls them on every
+# candidate, and tests/oracles.py keeps the generator forms they are checked
+# against.  Decreasing parts are all positive when the last one is.
+
 def is_partition(parts: Parts) -> bool:
-    return all(p > 0 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    return all(map(ge, parts, parts[1:])) and (not parts or parts[-1] > 0)
 
 
 def is_strict_partition(parts: Parts) -> bool:
-    return all(p > 0 for p in parts) and all(
-        parts[i] > parts[i + 1] for i in range(len(parts) - 1)
-    )
+    return all(map(gt, parts, parts[1:])) and (not parts or parts[-1] > 0)
 
 
 def is_odd_partition(parts: Parts) -> bool:
-    return is_partition(parts) and all(p % 2 == 1 for p in parts)
+    return is_partition(parts) and set(map(mod, parts, repeat(2))) <= {1}
+
+
+def ensure_int_parts(parts, name: str = "partition") -> Parts:
+    """parts as a tuple, each an int (bools included, as ints); a float,
+    Fraction, str or None part raises ValueError naming the argument."""
+    parts = tuple(parts)
+    if not all(map(isinstance, parts, repeat(int))):
+        raise ValueError(f"{name} must have integer parts: {parts}")
+    return parts
 
 
 def ensure_partition(parts: Parts, name: str = "partition") -> Parts:
@@ -69,7 +81,7 @@ def ensure_strict_partition(parts: Parts, name: str = "partition") -> Parts:
 
 def sort_desc(parts) -> Parts:
     """Canonical partition form: nonzero parts sorted descending."""
-    return tuple(sorted((p for p in parts if p), reverse=True))
+    return tuple(sorted(filter(None, parts), reverse=True))
 
 
 def multiplicities(parts: Parts) -> dict[int, int]:
@@ -138,8 +150,8 @@ def bounded_compositions(total: int, bounds: Parts) -> list[Parts]:
 def contains(lam: Parts, mu: Parts) -> bool:
     """Entrywise containment mu_i <= lam_i."""
     if len(mu) > len(lam):
-        return all(p == 0 for p in mu[len(lam):])
-    return all(m <= l for m, l in zip(mu, lam))
+        return not any(mu[len(lam):])
+    return all(map(le, mu, lam))
 
 
 class SkewKind(Enum):

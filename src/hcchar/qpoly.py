@@ -127,7 +127,7 @@ class QPoly:
         return window == window[::-1]
 
     def has_integer_coeffs(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
+        return Fraction not in map(type, self.coeffs)
 
     def __repr__(self) -> str:
         return f"QPoly({self.to_text()!r})"

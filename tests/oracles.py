@@ -28,6 +28,44 @@ from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, exact_div_int
 from hcchar.vertex import composition_sums, f_single, straighten
 
 
+# ---------------------------------------------------------------------------
+# the partition predicates and QPoly.has_integer_coeffs as generator scans,
+# the forms the library's C-level iteration is checked against
+
+def nonzero_length_by_scan(parts) -> int:
+    return sum(1 for p in parts if p)
+
+
+def is_partition_by_scan(parts) -> bool:
+    return all(p > 0 for p in parts) and all(
+        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    )
+
+
+def is_strict_partition_by_scan(parts) -> bool:
+    return all(p > 0 for p in parts) and all(
+        parts[i] > parts[i + 1] for i in range(len(parts) - 1)
+    )
+
+
+def is_odd_partition_by_scan(parts) -> bool:
+    return is_partition_by_scan(parts) and all(p % 2 == 1 for p in parts)
+
+
+def sort_desc_by_scan(parts) -> Parts:
+    return tuple(sorted((p for p in parts if p), reverse=True))
+
+
+def contains_by_scan(lam, mu) -> bool:
+    if len(mu) > len(lam):
+        return all(p == 0 for p in mu[len(lam):])
+    return all(m <= l for m, l in zip(mu, lam))
+
+
+def has_integer_coeffs_by_scan(f: QPoly) -> bool:
+    return all(type(c) is int for c in f.coeffs)
+
+
 def monomial(c, exp: int) -> QPoly:
     """c q^exp."""
     if exp < 0:

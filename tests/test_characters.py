@@ -1,11 +1,12 @@
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcchar import cli
+from hcchar import characters, cli
 from hcchar.bitrace import sbtr, sbtr_powersum
 from hcchar.characters import (
     METHODS,
@@ -678,6 +679,44 @@ def test_table_cells_run_rows_outside_columns_inside():
     assert list(char_table(6)) == list(table_cells(6))
     with pytest.raises(ValueError, match="nonnegative"):
         char_table(-1)
+    # the weight is checked before the method, the method before any cell
+    with pytest.raises(ValueError, match="nonnegative"):
+        char_table(-1, "bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        char_table(0, "bogus")
+
+
+def test_char_table_is_char_value_cell_by_cell():
+    # char_table hands its own cells to the route cores unvalidated;
+    # char_value validates each one and must give the same values, in order
+    for method in ["auto", *METHODS]:
+        for n in range(11):
+            expected = [(cell, char_value(*cell, method=method)) for cell in table_cells(n)]
+            assert list(char_table(n, method).items()) == expected, (method, n)
+
+
+def test_inputs_are_validated_once(monkeypatch, fresh_packed_memos):
+    # a table validates none of its cells, and one auto value validates its
+    # input once and tests mu for oddness once
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(characters, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(characters, name, wrapper)
+
+    counting("_validate")
+    counting("is_odd_partition")
+    for method in ["auto", *METHODS]:
+        char_table(12, method)
+        assert calls["_validate"] == 0, method
+    calls.clear()
+    char_value((5, 4, 2, 1), (1, 3, 3, 5))
+    assert calls == {"_validate": 1, "is_odd_partition": 1}
 
 
 def test_wt_gds_matches_pfaffian_small():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,11 +12,16 @@ from hcchar.partitions import (
     contains,
     delta,
     epsilon,
+    is_odd_partition,
+    is_partition,
+    is_strict_partition,
+    nonzero_length,
     odd_partitions_of,
     parse_parts,
     format_parts,
     pieri_strips,
     shifted_syt_count,
+    sort_desc,
     strict_partitions_of,
     strict_subpartitions,
     weight,
@@ -24,10 +31,16 @@ from hcchar.qpoly import ONE, QPoly
 from oracles import (
     classify_skew_by_cells,
     coarsenings,
+    contains_by_scan,
     gds_split_exists,
+    is_odd_partition_by_scan,
+    is_partition_by_scan,
+    is_strict_partition_by_scan,
+    nonzero_length_by_scan,
     partitions_of,
     shifted_cells,
     shifted_syt_count_enumerated,
+    sort_desc_by_scan,
     strict_partitions_between,
     zt_denominator,
 )
@@ -55,6 +68,29 @@ def test_statistics():
     assert z_lambda((3, 3, 1)) == 18
     assert delta((3, 1)) == 0 and delta((3, 1, 1)) == 1
     assert epsilon((6, 2, 1)) == 1 and epsilon(()) == 0
+
+
+def _tuples(entries, max_length):
+    return [t for length in range(max_length + 1) for t in product(entries, repeat=length)]
+
+
+def test_predicates_match_their_generator_scans():
+    # every tuple of length <= 5 over -1..5, so zeros, negatives, repeats and
+    # every order; sort_desc and nonzero_length also take lists and iterators
+    for t in _tuples(range(-1, 6), 5):
+        assert is_partition(t) == is_partition_by_scan(t), t
+        assert is_strict_partition(t) == is_strict_partition_by_scan(t), t
+        assert is_odd_partition(t) == is_odd_partition_by_scan(t), t
+        expected = sort_desc_by_scan(t)
+        assert sort_desc(t) == sort_desc(list(t)) == sort_desc(iter(t)) == expected, t
+        assert sort_desc(p for p in t) == expected, t
+        assert nonzero_length(t) == nonzero_length(list(t)) == nonzero_length_by_scan(t), t
+    # contains on every pair of tuples of length <= 3 over -1..5, and of
+    # length <= 5 over -1..1, which reaches the longer-mu branch with zeros
+    for entries, max_length in ((range(-1, 6), 3), (range(-1, 2), 5)):
+        tuples = _tuples(entries, max_length)
+        for lam, mu in product(tuples, repeat=2):
+            assert contains(lam, mu) == contains_by_scan(lam, mu), (lam, mu)
 
 
 def test_zt_denominator():

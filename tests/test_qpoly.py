@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from hcchar.qpoly import (
     round_bracket,
     unpack,
 )
-from oracles import square_bracket
+from oracles import has_integer_coeffs_by_scan, square_bracket
 
 coeff = st.integers(-9, 9) | st.fractions(max_denominator=6)
 polys = st.lists(coeff, max_size=6).map(QPoly)
@@ -69,6 +70,18 @@ def test_integral_coefficients_are_ints_whatever_their_input_type():
         assert [type(c) for c in f.coeffs] == [Fraction, int]
         assert json.dumps(f.to_json()) == '{"var": "q", "coeffs": [[1, 2], [1, 1]]}'
         assert f.to_text() == "q + 1/2"
+
+
+def test_has_integer_coeffs_matches_its_generator_scan():
+    # every coefficient tuple of length <= 4 mixing ints and Fractions, the
+    # integral Fraction 4/2 stored as an int
+    entries = (0, 1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2))
+    for length in range(5):
+        for coeffs in product(entries, repeat=length):
+            f = QPoly(coeffs)
+            assert f.has_integer_coeffs() == has_integer_coeffs_by_scan(f), coeffs
+    assert QPoly((1, Fraction(4, 2))).has_integer_coeffs()
+    assert not QPoly((1, Fraction(1, 2), 3)).has_integer_coeffs()
 
 
 @given(polys, polys, polys)
