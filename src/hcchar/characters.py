@@ -16,10 +16,11 @@ a partition of the same weight, and for the strip-weight route odd mu.  It
 then hands the canonical pair to its private core (_CORES), which checks
 nothing.  char_value under auto validates once, tests mu for oddness once
 and runs a core; under a named method it runs that method's public route.
-char_table checks only its weight and method: the cells of table_cells are
-canonical by construction, with odd mu, so it calls the method's core on
-each directly.  The closed forms and orthogonality_sum check their own
-arguments, and bitrace checks its classes in _classes.
+table_values, and char_table through it, check only the weight and method:
+the cells of table_cells are canonical by construction, with odd mu, so
+each goes to the method's core directly.  The closed forms and
+orthogonality_sum check their own arguments, and bitrace checks its
+classes in _classes.
 
 What the routes share: the recursive, pfaffian and combinatorial routes
 run one peel, _g_peel, over three lowering-step tables, so only the oracle
@@ -89,9 +90,11 @@ would let those routes share answers with this one.  Only gds_expansion and
 wt_gds read it, and char_hook_mu through gds_expansion's reduced table.
 
 The order of the weight-n table's cells is defined once, by table_cells.
-char_table, the JSON rendering, the cache's cell-set check and the cell
-loops of the cross and symmetry suites read it; the CSV and LaTeX renderings
-lay out the same order row by row from the two partition lists.
+table_values computes the values in that order, one at a time, and
+char_table keys them by cell; the table renderings, the cache's cell-set
+check and the cell loops of the cross and symmetry suites read the same
+order.  The CSV and LaTeX renderings lay it out row by row from the two
+partition lists.
 """
 
 from __future__ import annotations
@@ -104,6 +107,7 @@ from .partitions import (
     Parts,
     SkewClassification,
     SkewKind,
+    _classify_strict_skew,
     classify_skew,
     delta,
     ensure_int_parts,
@@ -181,10 +185,11 @@ def _shape_weight(c: int, doubled: bool, components: tuple[Parts, ...]) -> QPoly
 
 def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     """All strict nu below lam whose skew is a k-cell generalized double
-    strip, with their weights."""
+    strip, with their weights.  Each candidate is strict and inside lam by
+    construction, so it is classified once, unchecked."""
     out = []
     for nu in strict_subpartitions(lam, weight(lam) - k):
-        cls = classify_skew(lam, nu)
+        cls = _classify_strict_skew(lam, nu)
         if cls.kind is not SkewKind.NOT_GDS:
             out.append((nu, _strip_weight(cls)))
     return tuple(out)
@@ -548,23 +553,29 @@ def char_value(lam: Parts, mu: Parts, method: str = "auto") -> QPoly:
 
 
 def table_cells(n: int):
-    """The (lam, mu) cells of the weight-n table in table order: rows mu
-    over odd partitions outside, columns lam over strict partitions inside,
-    both in reverse-lexicographic order."""
+    """The (lam, mu) cells of the weight-n table in table order, one at a
+    time: rows mu over odd partitions outside, columns lam over strict
+    partitions inside, both in reverse-lexicographic order.  A negative n
+    raises at the call."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for mu in odd_partitions_of(n):
-        for lam in strict_partitions_of(n):
-            yield lam, mu
+    return ((lam, mu) for mu in odd_partitions_of(n) for lam in strict_partitions_of(n))
+
+
+def table_values(n: int, method: str = "auto"):
+    """The method's value at every cell of the weight-n table, in
+    table_cells order, one at a time, so that a caller need not hold the
+    table.  The cells are canonical by construction, with odd mu, so each
+    goes to the method's core unvalidated.  The weight, then the method,
+    are checked at the call."""
+    cells = table_cells(n)
+    core = _core(method)
+    return (core(lam, mu) for lam, mu in cells)
 
 
 def char_table(n: int, method: str = "auto") -> dict[tuple[Parts, Parts], QPoly]:
-    """All character values for weight n, keyed in table_cells order.  The
-    cells are canonical by construction, with odd mu, so each goes to the
-    method's core unvalidated."""
-    cells = list(table_cells(n))  # a negative n is reported before the method
-    core = _core(method)
-    return {(lam, mu): core(lam, mu) for lam, mu in cells}
+    """All character values for weight n, keyed in table_cells order."""
+    return dict(zip(table_cells(n), table_values(n, method)))
 
 
 def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:

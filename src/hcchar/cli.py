@@ -11,6 +11,18 @@ with one warning line on stderr, and the table is recomputed.  A cache
 that cannot be written is an I/O error (exit status 4); a cross-check that
 finds the two methods disagreeing names the first differing cell, writes
 nothing and fails (exit status 1).
+
+``table`` streams.  Each output format is a generator of text chunks over
+the values in table order; without a cache, each value is rendered as it
+is computed and no table is held.  The chunks go to a temporary file
+first: for ``--out``, one in the target's directory that replaces the
+target after the last chunk; for stdout, an anonymous one that is then
+copied out.  So a failure before the last cell leaves stdout empty, and
+no ``--out`` or cache file is created or replaced.  A cache miss renders
+its JSON once, into the cache file, hashing the chunks as they are
+written: the digest line, of fixed length, goes first as a placeholder and
+is filled in last, before the rename.  A JSON ``table`` then copies that
+file's body out.
 """
 
 from __future__ import annotations
@@ -19,9 +31,12 @@ import argparse
 import functools
 import json
 import os
+import shutil
+import stat
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import islice
 
 from . import bitrace, characters, golden
 from .partitions import (
@@ -37,6 +52,7 @@ from .qpoly import NonDivisibleError, QPoly
 
 CACHE_ENV = "HCCHAR_CACHE"
 CACHE_VERSION = 1
+COPY_BLOCK = 1 << 16  # characters per read when copying a finished rendering
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -59,12 +75,12 @@ def _cache_path(n: int) -> str | None:
     return os.path.join(root, f"chartable_n{n}.json")
 
 
-def _digest(body: bytes) -> bytes:
+def _sha256(data: bytes = b""):
     # imported here because hashlib loads OpenSSL, about 3.7 MB of resident
     # memory that runs without a cache should not pay for
     import hashlib
 
-    return hashlib.sha256(body).hexdigest().encode()
+    return hashlib.sha256(data)
 
 
 def _checked_cell(n: int, lam: Parts, mu: Parts, raw) -> QPoly:
@@ -105,7 +121,7 @@ def load_cached_table(n: int) -> dict[tuple[Parts, Parts], QPoly] | None:
     try:
         with open(path, "rb") as handle:
             head, _, body = handle.read().partition(b"\n")
-        if _digest(body) != head:
+        if _sha256(body).hexdigest().encode() != head:
             raise ValueError(
                 "content digest mismatch" if len(head) == 64 else "no content digest line"
             )
@@ -131,31 +147,41 @@ def load_cached_table(n: int) -> dict[tuple[Parts, Parts], QPoly] | None:
 
 def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> str | None:
     """Write the JSON rendering of the table to the cache, atomically, and
-    return it; None when no cache is set."""
+    return the path written; None when no cache is set.  The body is
+    rendered once, straight into a temporary file and hashed chunk by chunk;
+    its digest line, of fixed length, is written first as a placeholder and
+    filled in once the last chunk is hashed, and only then is the file
+    renamed into place."""
     path = _cache_path(n)
     if path is None:
         return None
-    rendered = render_table_json(n, table)
-    body = rendered.encode()
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=".chartable", dir=directory)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(_digest(body) + b"\n" + body)
+            handle.write(b"0" * 64 + b"\n")  # the digest line, filled in last
+            digest = _sha256()
+            for chunk in table_json_chunks(n, _in_table_order(n, table)):
+                body = chunk.encode()
+                digest.update(body)
+                handle.write(body)
+            handle.seek(0)
+            handle.write(digest.hexdigest().encode())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return rendered
+    return path
 
 
 def table_with_cache(
     n: int, method: str = "auto"
 ) -> tuple[dict[tuple[Parts, Parts], QPoly], str | None]:
-    """The weight-n table, and its JSON rendering when a cache miss stored
-    one (None otherwise), so that the caller need not render it again."""
+    """The weight-n table, and the path of the cache file when a miss
+    stored one (None otherwise), whose body the caller can copy instead of
+    rendering the JSON again."""
     cached = load_cached_table(n)
     if cached is not None:
         return cached, None
@@ -172,50 +198,133 @@ def table_with_cache(
     return table, None
 
 
+def _cached_body(path: str):
+    # the body of a cache file, after its digest line, in blocks
+    with open(path, encoding="utf-8", newline="") as handle:
+        handle.readline()
+        yield from iter(functools.partial(handle.read, COPY_BLOCK), "")
+
+
 # ---------------------------------------------------------------------------
-# table rendering
+# table rendering: each format is a generator of text chunks, one per cell
+# (JSON) or per row (CSV, LaTeX), over the values in table_cells order, so
+# that no caller need hold the rendered table
+
+def _in_table_order(n: int, table):
+    # the values of a table keyed by cell, in table_cells order
+    return map(table.__getitem__, characters.table_cells(n))
+
+
+def table_json_chunks(n: int, values):
+    """The JSON rendering, byte for byte what json.dumps gives for
+    {"n": n, "cells": [{"lambda": ..., "mu": ..., "poly": value.to_json()},
+    ...], "version": CACHE_VERSION}, formatted directly, one chunk per
+    cell."""
+    parts = {p: ", ".join(map(str, p)) for p in (*strict_partitions_of(n), *odd_partitions_of(n))}
+    yield f'{{"n": {n}, "cells": ['
+    sep = ""
+    for (lam, mu), value in zip(characters.table_cells(n), values):
+        coeffs = ", ".join([f"[{c.numerator}, {c.denominator}]" for c in value.coeffs])
+        yield (
+            f'{sep}{{"lambda": [{parts[lam]}], "mu": [{parts[mu]}], '
+            f'"poly": {{"var": "q", "coeffs": [{coeffs}]}}}}'
+        )
+        sep = ", "
+    yield f'], "version": {CACHE_VERSION}}}'
+
+
+def table_csv_chunks(n: int, values):
+    """The CSV rendering: a header row of the lambdas, then one row per mu,
+    every field quoted."""
+    lams = strict_partitions_of(n)
+    yield "mu\\lambda" + "".join(f',"{format_parts(lam)}"' for lam in lams) + "\n"
+    values = iter(values)
+    for mu in odd_partitions_of(n):
+        row = "".join(f',"{value.to_text()}"' for value in islice(values, len(lams)))
+        yield f'"{format_parts(mu)}"{row}\n'
+
+
+def table_latex_chunks(n: int, values):
+    """The LaTeX rendering: a tabular with a ruled header row of the
+    lambdas, then one ruled row per mu."""
+    lams = strict_partitions_of(n)
+    header = "".join(" & $(" + ",".join(map(str, lam)) + ")$" for lam in lams)
+    yield (
+        "\\begin{tabular}{|" + "c|" * (len(lams) + 1) + "}\n\\hline\n"
+        "$\\mu\\backslash\\lambda$" + header + " \\\\\n\\hline\n"
+    )
+    values = iter(values)
+    for mu in odd_partitions_of(n):
+        row = "".join(f" & ${value.to_text()}$" for value in islice(values, len(lams)))
+        yield "$(" + ",".join(map(str, mu)) + ")$" + row + " \\\\\n\\hline\n"
+    yield "\\end{tabular}\n"
+
+
+TABLE_CHUNKS = {
+    "json": table_json_chunks,
+    "csv": table_csv_chunks,
+    "latex": table_latex_chunks,
+}
+
 
 def render_table_json(n: int, table) -> str:
-    cells = [
-        {"lambda": list(lam), "mu": list(mu), "poly": table[(lam, mu)].to_json()}
-        for lam, mu in characters.table_cells(n)
-    ]
-    return json.dumps({"n": n, "cells": cells, "version": CACHE_VERSION})
+    """The JSON rendering of a table keyed by cell, as one string."""
+    return "".join(table_json_chunks(n, _in_table_order(n, table)))
 
 
 def render_table_csv(n: int, table) -> str:
-    lams = strict_partitions_of(n)
-    lines = ["mu\\lambda," + ",".join(f'"{format_parts(lam)}"' for lam in lams)]
-    for mu in odd_partitions_of(n):
-        cells = ['"' + format_parts(mu) + '"']
-        cells.extend('"' + table[(lam, mu)].to_text() + '"' for lam in lams)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """The CSV rendering of a table keyed by cell, as one string."""
+    return "".join(table_csv_chunks(n, _in_table_order(n, table)))
 
 
 def render_table_latex(n: int, table) -> str:
-    lams = strict_partitions_of(n)
-    cols = "|" + "c|" * (len(lams) + 1)
-    out = ["\\begin{tabular}{" + cols + "}", "\\hline"]
-    header = ["$\\mu\\backslash\\lambda$"] + [
-        "$(" + ",".join(map(str, lam)) + ")$" for lam in lams
-    ]
-    out.append(" & ".join(header) + " \\\\")
-    out.append("\\hline")
-    for mu in odd_partitions_of(n):
-        row = ["$(" + ",".join(map(str, mu)) + ")$"]
-        row.extend("$" + table[(lam, mu)].to_text() + "$" for lam in lams)
-        out.append(" & ".join(row) + " \\\\")
-        out.append("\\hline")
-    out.append("\\end{tabular}")
-    return "\n".join(out) + "\n"
+    """The LaTeX rendering of a table keyed by cell, as one string."""
+    return "".join(table_latex_chunks(n, _in_table_order(n, table)))
 
 
-TABLE_RENDERERS = {
-    "json": render_table_json,
-    "csv": render_table_csv,
-    "latex": render_table_latex,
-}
+def _file_mode(path: str) -> int:
+    # the permission bits of path, or for a new file those that open() gives
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def _write_table(chunks, out: str | None) -> None:
+    """Write the chunks to the file out, or to stdout for None, once the
+    last one is rendered.  They stream into a temporary file first: for a
+    regular (or new) out, one in its directory that then replaces it;
+    otherwise an anonymous one that is then copied out.  So a failure
+    part-way, in a cell or in the write, leaves stdout empty and out as it
+    was."""
+    if out is not None and (os.path.isfile(out) or not os.path.exists(out)):
+        target = os.path.realpath(out)  # through a symlink, as open() writes
+        try:
+            fd, tmp = tempfile.mkstemp(prefix=".hcchar", dir=os.path.dirname(target))
+        except OSError as exc:  # named by the target, not the temporary file
+            raise OSError(exc.errno, exc.strerror, out) from None
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.writelines(chunks)
+            os.chmod(tmp, _file_mode(target))
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        return
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        spool.writelines(chunks)
+        spool.seek(0)
+        sink = sys.stdout if out is None else open(out, "w", encoding="utf-8")
+        try:
+            # sys.stdout.write(str), since a captured stdout has no buffer
+            shutil.copyfileobj(spool, sink, COPY_BLOCK)
+        finally:
+            if sink is not sys.stdout:
+                sink.close()
 
 
 # ---------------------------------------------------------------------------
@@ -374,27 +483,28 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        table, stored_json = table_with_cache(args.n, method=args.method)
-    except OSError as exc:
-        print(f"error: cannot write cache {_cache_path(args.n)}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MethodDisagreementError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    if args.format == "json" and stored_json is not None:
-        rendered = stored_json
+    n, render = args.n, TABLE_CHUNKS[args.format]
+    if _cache_path(n) is None:
+        # no table is held: each value is rendered as it is computed
+        chunks = render(n, characters.table_values(n, args.method))
     else:
-        rendered = TABLE_RENDERERS[args.format](args.n, table)
-    if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
+            table, stored = table_with_cache(n, method=args.method)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write cache {_cache_path(n)}: {exc}", file=sys.stderr)
             return EXIT_IO
-    else:
-        sys.stdout.write(rendered)
+        except MethodDisagreementError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+        if args.format == "json" and stored is not None:
+            chunks = _cached_body(stored)
+        else:
+            chunks = render(n, _in_table_order(n, table))
+    try:
+        _write_table(chunks, args.out)
+    except OSError as exc:
+        print(f"error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cache
 from itertools import repeat
 from math import factorial
-from operator import ge, gt, le, mod
+from operator import ge, gt, le, lt, mod
 from typing import NamedTuple
 
 from .qpoly import NonDivisibleError
@@ -206,16 +206,20 @@ def classify_skew(lam: Parts, mu: Parts) -> SkewClassification:
     row i's starts, so the two join exactly when nu_i = lam_{i+1}, which
     also makes both nonempty.
     """
+    if is_strict_partition(lam) and is_strict_partition(mu) and contains(lam, mu):
+        return _classify_strict_skew(lam, mu)
+    return SkewClassification(SkewKind.NOT_GDS, 0, (), len(lam) - len(mu))
+
+
+def _classify_strict_skew(lam: Parts, mu: Parts) -> SkewClassification:
+    # classify_skew for strict mu inside strict lam, which it does not check:
+    # shape enumeration calls it on candidates that are both by construction
     l_jump = len(lam) - len(mu)
-    not_gds = SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
-    strict = is_strict_partition(lam) and is_strict_partition(mu)
-    if not strict or not contains(lam, mu):
-        return not_gds
     n = len(lam)
     nu = mu + (0,) * l_jump
     below = lam[1:] + (0, 0)
-    if any(nu[i] < below[i + 1] for i in range(n)):
-        return not_gds
+    if any(map(lt, nu, below[1:])):  # a diagonal with three cells
+        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
 
     c = sum(max(0, below[i] - nu[i]) for i in range(n))
     components: list[Parts] = []

@@ -1,11 +1,12 @@
 """Test-only oracles: slow, definition-level computations that the library
 is checked against, and the helpers that only tests use."""
 
+import json
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from hcchar.characters import _merge_part, _two_row_factor, char_value
+from hcchar.characters import _merge_part, _two_row_factor, char_value, table_cells
 from hcchar.gamma import GammaElement, _sub_multisets
 from hcchar.partitions import (
     Parts,
@@ -15,6 +16,7 @@ from hcchar.partitions import (
     bounded_compositions,
     contains,
     delta,
+    format_parts,
     multiplicities,
     nonzero_length,
     odd_partitions_of,
@@ -609,3 +611,44 @@ def char_two_row_by_qpoly(k: int, mu: Parts) -> QPoly:
     mu = sort_desc(mu)
     tails = two_row_tails_by_qpoly(mu)
     return (tails[k] + tails[k + 1]).scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
+
+
+# ---------------------------------------------------------------------------
+# the table renderings as whole structures: a list of cell dicts through
+# json.dumps, and lists of fields joined, the forms the streamed chunk
+# renderers of hcchar.cli are checked against byte for byte
+
+def render_table_json_by_dumps(n: int, table) -> str:
+    cells = [
+        {"lambda": list(lam), "mu": list(mu), "poly": table[(lam, mu)].to_json()}
+        for lam, mu in table_cells(n)
+    ]
+    return json.dumps({"n": n, "cells": cells, "version": 1})
+
+
+def render_table_csv_by_lines(n: int, table) -> str:
+    lams = strict_partitions_of(n)
+    lines = ["mu\\lambda," + ",".join(f'"{format_parts(lam)}"' for lam in lams)]
+    for mu in odd_partitions_of(n):
+        cells = ['"' + format_parts(mu) + '"']
+        cells.extend('"' + table[(lam, mu)].to_text() + '"' for lam in lams)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def render_table_latex_by_lines(n: int, table) -> str:
+    lams = strict_partitions_of(n)
+    cols = "|" + "c|" * (len(lams) + 1)
+    out = ["\\begin{tabular}{" + cols + "}", "\\hline"]
+    header = ["$\\mu\\backslash\\lambda$"] + [
+        "$(" + ",".join(map(str, lam)) + ")$" for lam in lams
+    ]
+    out.append(" & ".join(header) + " \\\\")
+    out.append("\\hline")
+    for mu in odd_partitions_of(n):
+        row = ["$(" + ",".join(map(str, mu)) + ")$"]
+        row.extend("$" + table[(lam, mu)].to_text() + "$" for lam in lams)
+        out.append(" & ".join(row) + " \\\\")
+        out.append("\\hline")
+    out.append("\\end{tabular}")
+    return "\n".join(out) + "\n"

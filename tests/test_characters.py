@@ -47,6 +47,7 @@ from hcchar.gamma import g_product, inner_product
 from hcchar.golden import golden_table
 from hcchar.partitions import (
     SkewKind,
+    _classify_strict_skew,
     classify_skew,
     epsilon,
     is_odd_partition,
@@ -99,14 +100,15 @@ def test_wt_gds_examples():
 
 def test_gds_expansion_classifies_each_candidate_once(monkeypatch):
     # the weight of a kept nu is read from the classification that kept it,
-    # so every strict nu of the right weight inside lam is classified once
+    # so every strict nu of the right weight inside lam is classified once,
+    # by the core that checks neither strictness nor containment
     calls = []
 
     def counting(lam, nu):
         calls.append((lam, nu))
-        return classify_skew(lam, nu)
+        return _classify_strict_skew(lam, nu)
 
-    monkeypatch.setattr("hcchar.characters.classify_skew", counting)
+    monkeypatch.setattr("hcchar.characters._classify_strict_skew", counting)
     for n in range(1, 10):
         for lam in strict_partitions_of(n):
             for k in range(1, n + 1):

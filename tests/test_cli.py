@@ -1,15 +1,23 @@
 import hashlib
 import json
 import os
+import random
+import stat
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hcchar import cli
 from hcchar.golden import golden_table
-from hcchar.qpoly import QPoly
+from hcchar.qpoly import ZERO, NonDivisibleError, QPoly
+from oracles import (
+    render_table_csv_by_lines,
+    render_table_json_by_dumps,
+    render_table_latex_by_lines,
+)
 
 
 def run(capsys, *argv):
@@ -114,10 +122,130 @@ def test_table_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "table", "--n", "3", "--format", "csv", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("mu\\lambda")
-    code, _, err = run(
-        capsys, "table", "--n", "3", "--format", "csv", "--out", str(tmp_path / "no_dir" / "x.csv")
-    )
+    missing = tmp_path / "no_dir" / "x.csv"
+    code, _, err = run(capsys, "table", "--n", "3", "--format", "csv", "--out", str(missing))
     assert code == 4
+    assert err == f"error: cannot write {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+REFERENCE_RENDERINGS = {
+    "json": (cli.render_table_json, render_table_json_by_dumps),
+    "csv": (cli.render_table_csv, render_table_csv_by_lines),
+    "latex": (cli.render_table_latex, render_table_latex_by_lines),
+}
+
+
+def test_streamed_renderings_match_the_whole_table_references(capsys):
+    # the chunk renderers, joined by the library or streamed by the CLI, give
+    # the bytes of json.dumps over cell dicts and of the joined field lists
+    for n in range(13):
+        table = cli.characters.char_table(n)
+        for fmt, (render, reference) in REFERENCE_RENDERINGS.items():
+            expected = reference(n, table)
+            assert render(n, table) == expected, (fmt, n)
+            assert run(capsys, "table", "--n", str(n), "--format", fmt) == (0, expected, ""), (fmt, n)
+
+
+def test_renderings_match_the_references_on_hand_built_values():
+    # a Fraction coefficient, the zero polynomial, negative and large
+    # coefficients, in a table built in shuffled order and read by key
+    n = 6
+    cells = list(cli.characters.table_cells(n))
+    values = [
+        QPoly((Fraction(1, 3), -2, Fraction(-5, 2))),
+        ZERO,
+        QPoly((-7, 0, -1)),
+        QPoly((10**40, -(10**40))),
+        QPoly((Fraction(7, 10**20),)),
+    ]
+    random.Random(6).shuffle(cells)
+    table = {cell: values[i % len(values)] for i, cell in enumerate(cells)}
+    for fmt, (render, reference) in REFERENCE_RENDERINGS.items():
+        assert render(n, table) == reference(n, table), fmt
+    payload = json.loads(cli.render_table_json(n, table))
+    decoded = {(tuple(c["lambda"]), tuple(c["mu"])): QPoly.from_json(c["poly"]) for c in payload["cells"]}
+    assert decoded == table
+
+
+# `hcchar table --n 8` as (format, SHA-256 of stdout), as printed before the
+# renderings streamed
+TABLE_8_OUTPUT = {
+    "json": "deeda2e8c38e38c13e97c581c67f0fb4b21263e255a04366139817ee388b976c",
+    "csv": "8013a7b08e4ead10097c03156e76990aa44d1f413fd598ab73cba71ce8fa5997",
+    "latex": "7f4a9e31c08fd996cd2f8dd4afd318fdee3fed481dd3cdd218c849b8c6af4f07",
+}
+
+
+def test_table_without_a_cache_builds_no_table(capsys, monkeypatch):
+    # without a cache each value is rendered as it is computed, so the
+    # bounded-memory path never calls char_table and holds no table dict
+    def refusing_char_table(n, method="auto"):
+        raise AssertionError("char_table called without a cache")
+
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setattr(cli.characters, "char_table", refusing_char_table)
+    for fmt, digest in TABLE_8_OUTPUT.items():
+        code, out, err = run(capsys, "table", "--n", "8", "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no cache", "cache miss"])
+def test_a_cell_failing_last_writes_nothing(tmp_path, capsys, monkeypatch, cached):
+    # the last cell fails after every other has been rendered: stdout stays
+    # empty, --out is neither created nor changed, and no cache file appears
+    n = 6
+    last = list(cli.characters.table_cells(n))[-1]
+    core = cli.characters._CORES["auto"]
+
+    def failing_last(lam, mu):
+        if (lam, mu) == last:
+            raise NonDivisibleError("synthetic fault at the last cell")
+        return core(lam, mu)
+
+    monkeypatch.setitem(cli.characters._CORES, "auto", failing_last)
+    cache, outputs = tmp_path / "cache", tmp_path / "out"
+    cache.mkdir()
+    outputs.mkdir()
+    if cached:
+        monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    else:
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    existing = outputs / "existing.txt"
+    existing.write_bytes(b"written earlier\n")
+    for fmt in ("json", "csv", "latex"):
+        for target in ([], ["--out", str(outputs / "missing.txt")], ["--out", str(existing)]):
+            code, out, err = run(capsys, "table", "--n", str(n), "--format", fmt, *target)
+            assert (code, out) == (cli.EXIT_INTERNAL, ""), (fmt, target)
+            assert err == "internal error: synthetic fault at the last cell\n", (fmt, target)
+    assert [path.name for path in outputs.iterdir()] == ["existing.txt"]
+    assert existing.read_bytes() == b"written earlier\n"
+    assert list(cache.iterdir()) == []
+
+
+def test_out_replaces_its_target_as_open_would_write_it(tmp_path, capsys):
+    # a new file gets the mode that open() gives it, an existing one keeps
+    # its mode, a symlink is written through, and a directory is refused
+    expected = cli.render_table_csv(3, golden_table(3))
+    umask = os.umask(0o022)
+    try:
+        fresh = tmp_path / "fresh.csv"
+        assert run(capsys, "table", "--n", "3", "--format", "csv", "--out", str(fresh)) == (0, "", "")
+        assert fresh.read_text() == expected
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+    finally:
+        os.umask(umask)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old")
+    kept.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(kept)
+    assert run(capsys, "table", "--n", "3", "--format", "csv", "--out", str(link)) == (0, "", "")
+    assert link.is_symlink() and kept.read_text() == expected
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    code, out, err = run(capsys, "table", "--n", "3", "--out", str(tmp_path))
+    assert (code, out) == (cli.EXIT_IO, "") and err.startswith(f"error: cannot write {tmp_path}: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fresh.csv", "kept.csv", "link.csv"]
 
 
 def test_sbtr_command(capsys):
@@ -336,22 +464,23 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
 
 
 def test_cache_miss_renders_the_json_table_once(tmp_path, capsys, monkeypatch):
-    # on a miss the table is rendered once, for the cache file and stdout
-    # alike; a hit renders it once for stdout, and csv renders its own
+    # on a miss the table is rendered once, into the cache file, whose body
+    # stdout then gets; a hit renders it once for stdout, and csv renders
+    # its own
     calls = []
-    original = cli.render_table_json
+    original = cli.table_json_chunks
 
-    def counting(n, table):
+    def counting(n, values):
         calls.append(n)
-        return original(n, table)
+        return original(n, values)
 
-    monkeypatch.setattr(cli, "render_table_json", counting)
-    monkeypatch.setitem(cli.TABLE_RENDERERS, "json", counting)
+    monkeypatch.setattr(cli, "table_json_chunks", counting)
+    monkeypatch.setitem(cli.TABLE_CHUNKS, "json", counting)
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, cold, _ = run(capsys, "table", "--n", "6", "--format", "json")
     assert (code, calls) == (0, [6])
     _, body = (tmp_path / "chartable_n6.json").read_bytes().split(b"\n", 1)
-    assert body == cold.encode() == original(6, cli.characters.char_table(6)).encode()
+    assert body == cold.encode() == "".join(original(6, cli.characters.table_values(6))).encode()
     for fmt, renders in (("json", [6]), ("csv", [])):
         calls.clear()
         code, _, _ = run(capsys, "table", "--n", "6", "--format", fmt)

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from hcchar.characters import NotGdsError, wt_gds
 from hcchar.partitions import (
     SkewKind,
+    SkewClassification,
+    _classify_strict_skew,
     a_statistic,
     bounded_compositions,
     classify_skew,
@@ -208,6 +210,32 @@ def test_classify_skew_rejects_non_strict_shapes():
         assert classify_skew(lam, mu).kind is SkewKind.NOT_GDS, (lam, mu)
         with pytest.raises(NotGdsError):
             wt_gds(lam, mu)
+
+
+def test_strict_skew_core_is_classify_skew_on_strict_contained_pairs():
+    # gds_expansion hands the core candidates that are strict and inside lam
+    # by construction; there it must answer exactly as the checking function
+    pairs = 0
+    for lam, mu in _all_skew_pairs(12):
+        assert _classify_strict_skew(lam, mu) == classify_skew(lam, mu), (lam, mu)
+        pairs += 1
+    assert pairs == 1311
+
+
+def test_classify_skew_still_checks_what_its_core_assumes():
+    # every pair of partitions of weight at most 7 that is not strict mu
+    # inside strict lam, including mu longer than lam or heavier, is NOT_GDS
+    checked = 0
+    for n in range(8):
+        for m in range(n + 2):
+            for lam, mu in product(partitions_of(n), partitions_of(m)):
+                strict = is_strict_partition(lam) and is_strict_partition(mu)
+                if strict and contains(lam, mu):
+                    continue
+                expected = SkewClassification(SkewKind.NOT_GDS, 0, (), len(lam) - len(mu))
+                assert classify_skew(lam, mu) == expected, (lam, mu)
+                checked += 1
+    assert checked == 1724
 
 
 def test_diagonal_filter_soundness():
