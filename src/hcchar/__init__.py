@@ -47,7 +47,7 @@ from .partitions import (
     shifted_syt_count,
     strict_partitions_of,
 )
-from .pfaffian import AntisymMatrix, build_skew_matrix, pfaffian, skew_Q_principal
+from .pfaffian import skew_Q_principal
 from .qpoly import NonDivisibleError, QPoly, round_bracket
 from .vertex import Q_lambda_vacuum, apply_Q_m, f_pair, straighten
 

@@ -46,29 +46,27 @@ routes cannot see a fault there; test_normalization_at_integer_points checks
 it in plain ints.  The two-row closed form folds the normalization into its
 own generating function instead.
 
-Pieri, the peel and the strip weights all run on ints, through one
-evaluator, _unpacked: the recursion runs first on the L1 norms of its terms,
-with the signs dropped, for a bound on every coefficient of its value, then
-on its terms packed at q = 2^B (Kronecker substitution), with B at least two
-bits above that bound and chosen per value.  The value is unpacked from its
-balanced base-2^B digits, and a width or digit beyond the bound raises
-instead of returning a value.  The L1 run bounds the packed one because the
-L1 norm is subadditive and submultiplicative, |f + g| <= |f| + |g| and
-|f g| <= |f| |g|, so a recursion of sums and products, with each integer
-scalar replaced by its absolute value, bounds the L1 norm, and so every
-coefficient, of what it computes.  _in_ring maps a QPoly into either run:
-each f_t once per width (_f_ring), which Pieri's f-sums and the border
-strips read, and the peel's reduced tables once per (table, lam, k, width).
+Every route but the oracle runs through the packed evaluator of packed.py,
+which holds the proof that its L1 run bounds its packed run: Pieri, the
+peel, the strip weights, and the Pfaffian and Q-basis tables.
+in_ring maps a QPoly into either run: each f_t once per width (f_ring),
+which Pieri's f-sums, the border strips, the Pfaffians and the Q-basis
+sums read, and the peel's reduced tables once per (table, lam, k, width).
 A border strip's value is its top-block recursion on those f_t (_sbs_ring);
 a strip weight multiplies 2 when the length drops by two and its
 components' values, and in the packed run the sign (-1)^c and the shift by
 c B bits that place q^c; the L1 run leaves q^c out, since |q^c f| = |f|.
-Of all that, only the f_t themselves are built by multiplying QPolys.  The
-character-side orthogonality sum and the two-row closed form run on the
-same evaluator.  The character routes build QPoly products in the
-Pfaffian and Q-basis lowering-step tables; the oracle pairs elements of the
+A Pfaffian is the sub-Pfaffian recursion of pfaffian.py, memoized by parts.
+The Q-basis step is vertex.composition_sums with the Clifford merge, its
+L1 run on each merge coefficient's absolute value (_abs_prepend), unpacked
+at one width per (lam, k), each entry under its own bound.  Of all that,
+only the f_t and the Pfaffians' row-row entries f_pair are built by
+multiplying QPolys.  The character-side orthogonality sum and the two-row
+closed form run on the same evaluator.  The oracle pairs elements of the
 power-sum ring, int polynomials over one denominator with no packing, and
-is the unpacked reference the packing is checked against.
+is the unpacked reference the packing is checked against; tests/oracles.py
+keeps the index-set Pfaffian and the Q-basis sums in QPoly arithmetic as
+the references of the two tables.
 
 The peel memoizes three levels, each keyed by its lowering-step table so
 that the routes never share a value: the reduced tables
@@ -112,6 +110,7 @@ from .partitions import (
     delta,
     ensure_int_parts,
     ensure_partition,
+    ensure_strict_int_parts,
     ensure_strict_partition,
     epsilon,
     is_odd_partition,
@@ -124,20 +123,17 @@ from .partitions import (
     strict_subpartitions,
     weight,
 )
-from .pfaffian import skew_Q_principal
+from .packed import f_ring, in_ring, unpacked, unpacked_table
+from .pfaffian import _skew_Q_core
 from .qpoly import (
     NonDivisibleError,
     QPoly,
     ZERO,
     exact_div_int,
     exact_div_qminus1_pow,
-    l1_norm,
-    pack,
-    pack_width,
     round_bracket,
-    unpack,
 )
-from .vertex import Q_lambda_vacuum, composition_sums, f_single, qbasis_expansion
+from .vertex import Q_lambda_vacuum, _prepend, composition_sums
 
 
 class NotGdsError(ValueError):
@@ -159,13 +155,18 @@ def sbs_principal(rows: Parts) -> QPoly:
     which merges the first j + 1 rows."""
     if any(r < 1 for r in rows):
         raise ValueError("row counts must be positive")
-    return _unpacked(partial(_sbs_ring, rows))
+    return unpacked(partial(_sbs_ring, rows))
 
 
 def wt_gds(lam: Parts, nu: Parts) -> QPoly:
     """Strip weight of the skew lam*/nu*: (-t)^c times 2 when the length
     drops by exactly two, times the border-strip value of every component of
-    the one-cell-diagonal part."""
+    the one-cell-diagonal part.  Both shapes are checked first, each named
+    in the error: a part that is no int raises ValueError, and a shape that
+    is not strict NotGdsError, since only a strict shape has a shifted
+    diagram; a nu outside lam is no strip either."""
+    lam = ensure_strict_partition(ensure_int_parts(lam, "lam"), "lam", NotGdsError)
+    nu = ensure_strict_partition(ensure_int_parts(nu, "nu"), "nu", NotGdsError)
     cls = classify_skew(lam, nu)
     if cls.kind is SkewKind.NOT_GDS:
         raise NotGdsError(f"{lam}/{nu} is not a generalized double strip")
@@ -180,7 +181,7 @@ def _strip_weight(cls: SkewClassification) -> QPoly:
 @cache
 def _shape_weight(c: int, doubled: bool, components: tuple[Parts, ...]) -> QPoly:
     # (-t)^c, times 2 if doubled, times sbs_principal of each component
-    return _unpacked(partial(_shape_ring, c, doubled, components))
+    return unpacked(partial(_shape_ring, c, doubled, components))
 
 
 def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
@@ -197,42 +198,44 @@ def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
 
 def pfaffian_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     """Lowering step resolved through skew Pfaffians: nonzero coefficients of
-    Q_nu.1 in the image of Q_lam.1."""
+    Q_nu.1 in the image of Q_lam.1.  Each candidate is strict and inside
+    lam by construction, so its Pfaffian is taken unchecked."""
     out = []
     for nu in strict_subpartitions(lam, weight(lam) - k):
-        value = skew_Q_principal(lam, nu)
+        value = _skew_Q_core(lam, nu)
         if not value.is_zero():
             out.append((nu, value))
     return tuple(out)
 
 
-# ---------------------------------------------------------------------------
-# packed evaluation
+def qbasis_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
+    """One lowering step on Q_lam.1: the nonzero coefficients of Q_nu.1 in
+    the sum of f_tau Q_{lam - tau}.1 over all compositions tau of k with
+    l(lam) slots.  Parts of lam - tau may be negative; straightening turns
+    Q_m Q_{-m} into a vacuum term.  Straightening is linear, so each part of
+    lam is prepended to the straightened sums of the parts after it
+    (vertex.composition_sums with every slot free), on the packed evaluator
+    at one width for the whole step."""
+    return unpacked_table(partial(_qbasis_ring, lam, k))
 
-def _in_ring(f: QPoly, bits: int | None) -> int:
-    # the integer polynomial f packed at q = 2^bits, or its L1 norm for bits None
-    return l1_norm(f) if bits is None else pack(f, bits)
 
-
-def _unpacked(run) -> QPoly:
-    # the polynomial that run(bits) packs at q = 2^bits, for a recursion whose
-    # run(None), on L1 norms with the signs dropped, bounds its coefficients
-    bound = run(None)
-    bits = pack_width(bound)
-    return unpack(run(bits), bits, bound)
+def _qbasis_ring(lam: Parts, k: int, bits: int | None) -> tuple[tuple[Parts, int], ...]:
+    # the sums of qbasis_expansion(lam, k) at q = 2^bits; for bits None, the
+    # same sums on L1 norms, each merge coefficient by its absolute value, so
+    # that nothing cancels and every key of the packed sums is present
+    merge = _abs_prepend if bits is None else _prepend
+    return composition_sums(merge, lam, k, f_ring(bits), negative_parts=True)
 
 
 @cache
-def _f_ring(bits: int | None):
-    # f_t packed at q = 2^bits, or its L1 norm for bits None.  One function
-    # per width, so that composition_sums memoizes Pieri's f-sums once per
-    # width
-    @cache
-    def factor(t: int) -> int:
-        return _in_ring(f_single(t), bits)
+def _abs_prepend(m: int, nu: Parts) -> tuple[tuple[int, Parts], ...]:
+    # vertex._prepend with each coefficient by its absolute value; memoized,
+    # since the steps from shapes that share their later parts repeat merges
+    return tuple((abs(c), sigma) for c, sigma in _prepend(m, nu))
 
-    return factor
 
+# ---------------------------------------------------------------------------
+# strip weights on the packed evaluator
 
 @cache
 def _sbs_ring(rows: Parts, bits: int | None) -> int:
@@ -240,7 +243,7 @@ def _sbs_ring(rows: Parts, bits: int | None) -> int:
     # L1 norms with the signs dropped
     if not rows:
         return 1
-    f = _f_ring(bits)
+    f = f_ring(bits)
     out = 0
     for j in range(len(rows)):
         sign = 1 if bits is None else (-1) ** j
@@ -277,7 +280,7 @@ def _finalize(reduced: QPoly, lam: Parts, mu: Parts) -> QPoly:
 def _validate(lam: Parts, mu: Parts) -> tuple[Parts, Parts]:
     # the canonical (lam, mu) that every route core assumes: lam a strict
     # partition, mu sorted into a partition of the same weight, all parts ints
-    lam = ensure_strict_partition(ensure_int_parts(lam, "lam"), "lam") if lam else ()
+    lam = ensure_strict_int_parts(lam, "lam")
     mu = sort_desc(ensure_int_parts(mu, "mu"))
     if mu:
         ensure_partition(mu, "mu")
@@ -321,8 +324,8 @@ def _reduced_expansion(expansion, lam: Parts, k: int) -> tuple[tuple[Parts, QPol
 def _ring_expansion(
     expansion, lam: Parts, k: int, bits: int | None
 ) -> tuple[tuple[Parts, int], ...]:
-    # _reduced_expansion(expansion, lam, k) with each weight mapped by _in_ring
-    return tuple((nu, _in_ring(value, bits)) for nu, value in _reduced_expansion(expansion, lam, k))
+    # _reduced_expansion(expansion, lam, k) with each weight mapped by in_ring
+    return tuple((nu, in_ring(value, bits)) for nu, value in _reduced_expansion(expansion, lam, k))
 
 
 @cache
@@ -340,7 +343,7 @@ def _g_peel_ring(expansion, lam: Parts, mu: Parts, bits: int | None) -> int:
 
 def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
     # G(lam, mu) / (q-1)^{l(mu)}, peeled through one lowering-step table
-    return _unpacked(partial(_g_peel_ring, expansion, lam, mu))
+    return unpacked(partial(_g_peel_ring, expansion, lam, mu))
 
 
 def char_recursive(lam: Parts, mu: Parts) -> QPoly:
@@ -398,7 +401,7 @@ def _g_pieri(lam: Parts, mu: Parts, bits: int | None) -> int:
         if not strips:
             continue
         sign = 1 if bits is None else (-1) ** (i - lam[0])
-        sums = composition_sums(_merge_part, mu, i, _f_ring(bits), negative_parts=False)
+        sums = composition_sums(_merge_part, mu, i, f_ring(bits), negative_parts=False)
         for rest, f_sum in sums:
             inner = sum(_g_pieri(xi, rest, bits) << a for xi, a in strips)
             out += sign * f_sum * inner
@@ -413,7 +416,7 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
 
 
 def _pieri_core(lam: Parts, mu: Parts) -> QPoly:
-    g_value = _unpacked(partial(_g_pieri, lam, mu))
+    g_value = unpacked(partial(_g_pieri, lam, mu))
     return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
 
 
@@ -451,7 +454,7 @@ def _two_row_tails(mu: Parts, bits: int | None) -> tuple[int, ...]:
     # is 2^{l(mu)-1} times them
     series = [1]
     for m in mu:
-        factor = [_in_ring(c, bits) for c in _two_row_factor(m)]
+        factor = [in_ring(c, bits) for c in _two_row_factor(m)]
         product = [0] * (len(series) + len(factor) - 1)
         for i, a in enumerate(series):
             for j, b in enumerate(factor, i):
@@ -479,20 +482,20 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
     n = weight(mu)
     if not (0 < n - k < k):
         raise BadShapeError(f"(k, n-k) = ({k},{n - k}) is not a two-row strict shape")
-    value = _unpacked(partial(_two_row_ring, k, mu))
+    value = unpacked(partial(_two_row_ring, k, mu))
     return value.scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
 
 
 def char_column(lam: Parts) -> QPoly:
     """mu = (1^n): 2^{n - eps(lam)} times the shifted tableau count."""
-    lam = ensure_strict_partition(ensure_int_parts(lam, "lam"), "lam") if lam else ()
+    lam = ensure_strict_int_parts(lam, "lam")
     n = weight(lam)
     return QPoly((2 ** (n - epsilon(lam)) * shifted_syt_count(lam),))
 
 
 def char_hook_mu(lam: Parts, k: int) -> QPoly:
     """mu = (k, 1^{n-k}) with k odd: strip weights against tableau counts."""
-    lam = ensure_strict_partition(ensure_int_parts(lam, "lam"), "lam") if lam else ()
+    lam = ensure_strict_int_parts(lam, "lam")
     n = weight(lam)
     if k % 2 == 0 or k < 1 or k > n:
         raise BadShapeError(f"hook class needs odd k <= {n}, got {k}")
@@ -591,7 +594,7 @@ def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:
         (char_value(lam, mu), char_value(lam, nu), delta_max - delta(lam)) for lam in lams
     )
     try:
-        return exact_div_int(_unpacked(partial(_pairing_ring, terms)), 2**delta_max)
+        return exact_div_int(unpacked(partial(_pairing_ring, terms)), 2**delta_max)
     except NonDivisibleError as exc:
         raise NonDivisibleError("orthogonality sum not integral") from exc
 
@@ -599,4 +602,4 @@ def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:
 def _pairing_ring(terms, bits: int | None) -> int:
     # the sum of a b 2^shift over terms (a, b, shift) at q = 2^bits; for bits
     # None, the same sum of L1 norms
-    return sum(_in_ring(a, bits) * _in_ring(b, bits) << shift for a, b, shift in terms)
+    return sum(in_ring(a, bits) * in_ring(b, bits) << shift for a, b, shift in terms)

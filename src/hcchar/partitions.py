@@ -73,10 +73,16 @@ def ensure_partition(parts: Parts, name: str = "partition") -> Parts:
     return parts
 
 
-def ensure_strict_partition(parts: Parts, name: str = "partition") -> Parts:
+def ensure_strict_partition(parts: Parts, name: str = "partition", error=ValueError) -> Parts:
     if not is_strict_partition(parts):
-        raise ValueError(f"{name} must have strictly decreasing positive parts: {parts}")
+        raise error(f"{name} must have strictly decreasing positive parts: {parts}")
     return parts
+
+
+def ensure_strict_int_parts(parts, name: str = "partition") -> Parts:
+    """parts as a tuple of int parts forming a strict partition, the empty
+    one included; anything else raises ValueError naming the argument."""
+    return ensure_strict_partition(ensure_int_parts(parts, name), name)
 
 
 def sort_desc(parts) -> Parts:

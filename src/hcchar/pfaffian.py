@@ -1,95 +1,81 @@
-"""Pfaffians of antisymmetric matrices over exact polynomials, and the skew
-matrices whose Pfaffians give two-variable specializations of skew
-Q-functions."""
+"""Two-variable (t,-1) values of skew Q-functions, as Pfaffians.
+
+The value for mu inside lam is the Pfaffian of an antisymmetric matrix
+whose rows are the parts of lam and whose columns are the parts of mu in
+reverse order, mu padded with one zero part when l(lam) + l(mu) is odd.
+Its entries are f_pair(lam_i, lam_j) between two rows, f_single(lam_i - c)
+between a row and a column c, and 0 between two columns.  Each entry is
+fixed by the parts it pairs, so the Pfaffian of a principal submatrix
+depends only on its rows' parts and its columns' parts, and one memo keyed
+by those two tuples serves every (lam, mu).
+
+_sub_pfaffian_ring expands along the first row; with no rows left, the
+value is 1 if no columns are left and 0 otherwise.  It runs on the packed
+evaluator (packed.py): a Pfaffian is a sum of signed products of its
+entries, so the same expansion on their L1 norms, with the signs dropped,
+bounds it.  The only QPolys it builds are its entries, each f_t and f_pair
+once, packed once per width.  tests/oracles.py keeps the index-set
+Pfaffian of the whole matrix as the unpacked reference.
+"""
 
 from __future__ import annotations
 
-from .partitions import Parts, contains, ensure_strict_partition, weight
-from .qpoly import ONE, QPoly, ZERO
-from .vertex import f_pair, f_single
+from functools import cache, partial
 
-
-class OddSizeError(ValueError):
-    """Pfaffians are defined only for even sizes."""
+from .packed import f_ring, in_ring, unpacked
+from .partitions import Parts, contains, ensure_strict_int_parts
+from .qpoly import QPoly
+from .vertex import f_pair
 
 
 class NotContainedError(ValueError):
     """The inner partition is not contained in the outer one."""
 
 
-class AntisymMatrix:
-    """Antisymmetric matrix stored by its strictly upper triangle."""
-
-    __slots__ = ("size", "upper")
-
-    def __init__(self, size: int, upper: dict[tuple[int, int], QPoly] | None = None):
-        self.size = size
-        self.upper: dict[tuple[int, int], QPoly] = {}
-        for (i, j), v in (upper or {}).items():
-            if not 0 <= i < j < size:
-                raise ValueError(f"entry ({i},{j}) outside upper triangle")
-            if not v.is_zero():
-                self.upper[(i, j)] = v
-
-
-def pfaffian(a: AntisymMatrix) -> QPoly:
-    """Recursive first-row expansion with memoization on index subsets."""
-    if a.size % 2:
-        raise OddSizeError(f"size {a.size} is odd")
-    memo: dict[tuple[int, ...], QPoly] = {}
-
-    def pf(indices: tuple[int, ...]) -> QPoly:
-        if not indices:
-            return ONE
-        cached = memo.get(indices)
-        if cached is not None:
-            return cached
-        first, rest = indices[0], indices[1:]
-        total = ZERO
-        for pos, j in enumerate(rest):
-            top = a.upper.get((first, j), ZERO)
-            if top.is_zero():
-                continue
-            sub = pf(rest[:pos] + rest[pos + 1:])
-            term = top * sub
-            total = total + term if pos % 2 == 0 else total - term
-        memo[indices] = total
-        return total
-
-    return pf(tuple(range(a.size)))
-
-
-def build_skew_matrix(lam: Parts, mu: Parts) -> AntisymMatrix:
-    """The antisymmetric matrix whose Pfaffian is the (t,-1) specialization of
-    the skew Q-function for mu inside lam.
-
-    Layout: indices 0..s-1 are the rows of lam, s..s+r-1 correspond to the
-    parts of mu in reverse order; mu gets one trailing zero part when
-    l(lam)+l(mu) is odd, and that column pairs row i with f_{lam_i}.
-    """
-    if lam:
-        ensure_strict_partition(lam, "lam")
-    if mu:
-        ensure_strict_partition(mu, "mu")
-    if not contains(lam, mu):
-        raise NotContainedError(f"{mu} is not contained in {lam}")
-    padded = tuple(mu)
-    if (len(lam) + len(padded)) % 2:
-        padded = padded + (0,)
-    s, r = len(lam), len(padded)
-    upper: dict[tuple[int, int], QPoly] = {}
-    for i in range(s):
-        for j in range(i + 1, s):
-            upper[(i, j)] = f_pair(lam[i], lam[j])
-        for j in range(r):
-            upper[(i, s + j)] = f_single(lam[i] - padded[r - 1 - j])
-    return AntisymMatrix(s + r, upper)
-
-
 def skew_Q_principal(lam: Parts, mu: Parts) -> QPoly:
-    """Two-variable (t,-1) value of the skew Q-function, via the Pfaffian."""
-    if lam == mu:
-        return ONE
-    if weight(mu) > weight(lam):
-        return ZERO
-    return pfaffian(build_skew_matrix(lam, mu))
+    """Two-variable (t,-1) value of the skew Q-function for a strict mu
+    inside a strict lam, via the Pfaffian.  Both are checked first: int
+    parts, strictly decreasing, and mu inside lam."""
+    lam = ensure_strict_int_parts(lam, "lam")
+    mu = ensure_strict_int_parts(mu, "mu")
+    if not contains(lam, mu):
+        raise NotContainedError(f"mu = {mu} is not contained in lam = {lam}")
+    return _skew_Q_core(lam, mu)
+
+
+def _skew_Q_core(lam: Parts, mu: Parts) -> QPoly:
+    # skew_Q_principal for a strict mu inside a strict lam, unchecked
+    cols = mu[::-1]
+    if (len(lam) + len(mu)) % 2:
+        cols = (0,) + cols
+    return unpacked(partial(_sub_pfaffian_ring, lam, cols))
+
+
+@cache
+def _pair_ring(m: int, n: int, bits: int | None) -> int:
+    # the row-row entry f_pair(m, n), mapped by in_ring
+    return in_ring(f_pair(m, n), bits)
+
+
+@cache
+def _sub_pfaffian_ring(rows: Parts, cols: Parts, bits: int | None) -> int:
+    # the Pfaffian on the given rows and columns at q = 2^bits, expanded
+    # along the first row, whose partner at position pos of the rest signs
+    # its term by (-1)^pos; for bits None, the same expansion on L1 norms
+    # with the signs dropped
+    if not rows:
+        return 0 if cols else 1
+    first, rest = rows[0], rows[1:]
+    out = 0
+    for pos, part in enumerate(rest):
+        sign = 1 if bits is None else (-1) ** pos
+        minor = _sub_pfaffian_ring(rest[:pos] + rest[pos + 1:], cols, bits)
+        out += sign * _pair_ring(first, part, bits) * minor
+    f = f_ring(bits)
+    for pos, part in enumerate(cols):
+        if part > first:
+            break  # the columns ascend, and f_single is 0 below 0
+        sign = 1 if bits is None else (-1) ** (len(rest) + pos)
+        minor = _sub_pfaffian_ring(rest, cols[:pos] + cols[pos + 1:], bits)
+        out += sign * f(first - part) * minor
+    return out

@@ -1,7 +1,7 @@
 """Vertex-operator actions: the creation operators on the power-sum ring,
-Clifford straightening of operator words, the f-coefficients, and the lowering
-action on the Q-basis.  composition_sums is the one sum of f-products over
-compositions: the lowering step and the Pieri recursion both read it."""
+Clifford straightening of operator words and the f-coefficients.
+composition_sums is the one sum of f-products over compositions: the
+Q-basis lowering step and the Pieri recursion both read it."""
 
 from __future__ import annotations
 
@@ -143,15 +143,3 @@ def f_pair(m: int, n: int) -> QPoly:
         term = f_single(m + a) * f_single(n - a)
         out = out + term.scale(2 * (-1) ** a)
     return out
-
-
-# ---------------------------------------------------------------------------
-# lowering action on the Q-basis
-
-def qbasis_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
-    """One lowering step on Q_lam.1: the nonzero coefficients of Q_nu.1 in
-    the sum of f_tau Q_{lam - tau}.1 over all compositions tau of k with
-    l(lam) slots.  Parts of lam - tau may be negative; straightening turns
-    Q_m Q_{-m} into a vacuum term.  Straightening is linear, so each part of
-    lam is prepended to the straightened sums of the parts after it."""
-    return composition_sums(_prepend, lam, k, f_single, negative_parts=True)

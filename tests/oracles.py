@@ -16,6 +16,7 @@ from hcchar.partitions import (
     bounded_compositions,
     contains,
     delta,
+    ensure_strict_partition,
     format_parts,
     multiplicities,
     nonzero_length,
@@ -25,9 +26,9 @@ from hcchar.partitions import (
     strict_partitions_of,
     z_lambda,
 )
-from hcchar.pfaffian import AntisymMatrix
+from hcchar.pfaffian import NotContainedError
 from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, exact_div_int
-from hcchar.vertex import composition_sums, f_single, straighten
+from hcchar.vertex import _prepend, composition_sums, f_pair, f_single, straighten
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,84 @@ def principal_specialize(a: GammaElement) -> QPoly:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the index-set Pfaffian of a whole matrix: the unpacked reference for
+# pfaffian.skew_Q_principal's sub-Pfaffian recursion
+
+class OddSizeError(ValueError):
+    """Pfaffians are defined only for even sizes."""
+
+
+class AntisymMatrix:
+    """Antisymmetric matrix stored by its strictly upper triangle."""
+
+    __slots__ = ("size", "upper")
+
+    def __init__(self, size: int, upper: dict[tuple[int, int], QPoly] | None = None):
+        self.size = size
+        self.upper: dict[tuple[int, int], QPoly] = {}
+        for (i, j), v in (upper or {}).items():
+            if not 0 <= i < j < size:
+                raise ValueError(f"entry ({i},{j}) outside upper triangle")
+            if not v.is_zero():
+                self.upper[(i, j)] = v
+
+
+def pfaffian(a: AntisymMatrix) -> QPoly:
+    """Recursive first-row expansion in QPoly arithmetic, with memoization on
+    index subsets of the one matrix."""
+    if a.size % 2:
+        raise OddSizeError(f"size {a.size} is odd")
+    memo: dict[tuple[int, ...], QPoly] = {}
+
+    def pf(indices: tuple[int, ...]) -> QPoly:
+        if not indices:
+            return ONE
+        cached = memo.get(indices)
+        if cached is not None:
+            return cached
+        first, rest = indices[0], indices[1:]
+        total = ZERO
+        for pos, j in enumerate(rest):
+            top = a.upper.get((first, j), ZERO)
+            if top.is_zero():
+                continue
+            sub = pf(rest[:pos] + rest[pos + 1:])
+            term = top * sub
+            total = total + term if pos % 2 == 0 else total - term
+        memo[indices] = total
+        return total
+
+    return pf(tuple(range(a.size)))
+
+
+def build_skew_matrix(lam: Parts, mu: Parts) -> AntisymMatrix:
+    """The antisymmetric matrix whose Pfaffian is the (t,-1) specialization of
+    the skew Q-function for mu inside lam.
+
+    Layout: indices 0..s-1 are the rows of lam, s..s+r-1 correspond to the
+    parts of mu in reverse order; mu gets one trailing zero part when
+    l(lam)+l(mu) is odd, and that column pairs row i with f_{lam_i}.
+    """
+    if lam:
+        ensure_strict_partition(lam, "lam")
+    if mu:
+        ensure_strict_partition(mu, "mu")
+    if not contains(lam, mu):
+        raise NotContainedError(f"{mu} is not contained in {lam}")
+    padded = tuple(mu)
+    if (len(lam) + len(padded)) % 2:
+        padded = padded + (0,)
+    s, r = len(lam), len(padded)
+    upper: dict[tuple[int, int], QPoly] = {}
+    for i in range(s):
+        for j in range(i + 1, s):
+            upper[(i, j)] = f_pair(lam[i], lam[j])
+        for j in range(r):
+            upper[(i, s + j)] = f_single(lam[i] - padded[r - 1 - j])
+    return AntisymMatrix(s + r, upper)
+
+
 def antisym_entry(matrix: AntisymMatrix, i: int, j: int) -> QPoly:
     """Entry (i, j) of an antisymmetric matrix, read from its upper triangle."""
     if i == j:
@@ -373,8 +452,14 @@ def classify_skew_by_cells(lam: Parts, mu: Parts) -> SkewClassification:
     return SkewClassification(kind, c, beta_components, l_jump)
 
 
+def qbasis_expansion_by_qpoly(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
+    """Reference for characters.qbasis_expansion: the same part-by-part sums
+    in QPoly arithmetic, unpacked, in the same order."""
+    return composition_sums(_prepend, lam, k, f_single, negative_parts=True)
+
+
 def qbasis_expansion_by_composition(lam: Parts, k: int) -> dict[Parts, QPoly]:
-    """Reference for vertex.qbasis_expansion: one scaled f_tau per composition
+    """Reference for characters.qbasis_expansion: one scaled f_tau per composition
     tau and per term of straightening the whole word lam - tau."""
     out: dict[Parts, QPoly] = {}
     for tau in bounded_compositions(k, (k,) * len(lam)):

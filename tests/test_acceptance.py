@@ -33,14 +33,16 @@ from hcchar.partitions import (
     strict_subpartitions,
     z_lambda,
 )
-from hcchar.pfaffian import AntisymMatrix, pfaffian, skew_Q_principal
+from hcchar.pfaffian import skew_Q_principal
 from hcchar.qpoly import QPoly, ZERO, pack_width
 from hcchar.vertex import Q_lambda_vacuum, apply_Q_m
 from oracles import (
+    AntisymMatrix,
     alpha_direct_sum,
     antisym_rows,
     determinant,
     partitions_of,
+    pfaffian,
     principal_specialize,
     scaled,
     shifted_syt_count_enumerated,
@@ -243,7 +245,7 @@ def test_criterion_9_pfaffian_soundness():
             ), lam
 
     gds_cells = 0
-    for n in range(9):
+    for n in range(13):
         for lam in strict_partitions_of(n):
             for m in range(n + 1):
                 for mu in strict_subpartitions(lam, m):
@@ -256,7 +258,10 @@ def test_criterion_9_pfaffian_soundness():
             for lam in strict_partitions_of(n):
                 for nu, wt_value in gds_expansion(lam, k):
                     assert wt_value == skew_Q_principal(lam, nu), (lam, nu)
-    print(f"criterion 9 PASS: 100 Pf^2=det checks, oracle triangle, {gds_cells} strip weights")
+    print(
+        f"criterion 9 PASS: 100 Pf^2=det checks, oracle triangle to n<=8, "
+        f"{gds_cells} strip weights to n<=12"
+    )
 
 
 def test_criterion_10_clifford_relations():

@@ -12,19 +12,18 @@ from hcchar.characters import (
     METHODS,
     BadShapeError,
     NotGdsError,
-    _f_ring,
     _finalize,
     _g_peel,
     _g_peel_ring,
     _g_pieri,
     _merge_part,
+    _qbasis_ring,
     _reduced_expansion,
     _ring_expansion,
     _sbs_ring,
     _shape_weight,
     _two_row_factor,
     _two_row_tails,
-    _unpacked,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -39,6 +38,7 @@ from hcchar.characters import (
     gds_expansion,
     orthogonality_sum,
     pfaffian_expansion,
+    qbasis_expansion,
     sbs_principal,
     table_cells,
     wt_gds,
@@ -57,7 +57,8 @@ from hcchar.partitions import (
     strict_subpartitions,
     weight,
 )
-from hcchar.pfaffian import skew_Q_principal
+from hcchar.packed import f_ring, unpacked
+from hcchar.pfaffian import _pair_ring, _sub_pfaffian_ring, skew_Q_principal
 from hcchar.qpoly import (
     NonDivisibleError,
     ONE,
@@ -68,7 +69,7 @@ from hcchar.qpoly import (
     pack,
     round_bracket,
 )
-from hcchar.vertex import Q_lambda_vacuum, composition_sums, f_single, qbasis_expansion
+from hcchar.vertex import Q_lambda_vacuum, composition_sums, f_pair, f_single
 from oracles import (
     char_two_row_by_qpoly,
     coarsenings,
@@ -79,6 +80,7 @@ from oracles import (
     orthogonality_sum_by_qpoly,
     partitions_of,
     pieri_f_sums_by_composition,
+    qbasis_expansion_by_qpoly,
     sbs_principal_by_coarsenings,
     strict_partitions_between,
     strip_weight_by_classification,
@@ -94,8 +96,14 @@ def test_wt_gds_examples():
     assert wt_gds((6,), ()) == f_single(6)
     assert wt_gds((4, 2), ()) == (QPoly((0, -1)) ** 2).scale(2) * f_single(2)
     assert wt_gds((3, 1), (3, 1)) == ONE
-    with pytest.raises(NotGdsError):
+    # shapes are checked before they are classified; a strict pair that is
+    # no strip, or nu outside lam, carries no weight
+    with pytest.raises(NotGdsError, match=r"^nu must have strictly decreasing positive parts: \(2, 2\)$"):
         wt_gds((3, 1), (2, 2))
+    with pytest.raises(NotGdsError, match=r"^\(3, 2, 1\)/\(\) is not a generalized double strip$"):
+        wt_gds((3, 2, 1), ())
+    with pytest.raises(NotGdsError, match=r"^\(3, 1\)/\(4,\) is not a generalized double strip$"):
+        wt_gds((3, 1), (4,))
 
 
 def test_gds_expansion_classifies_each_candidate_once(monkeypatch):
@@ -242,8 +250,8 @@ def test_pieri_f_sums_pack_the_f_sums():
                 sums = composition_sums(_merge_part, mu, i)
                 for bits in (16, 48):
                     packed = {rest: pack(f, bits) for rest, f in sums}
-                    assert dict(composition_sums(_merge_part, mu, i, _f_ring(bits))) == packed
-                l1 = dict(composition_sums(_merge_part, mu, i, _f_ring(None)))
+                    assert dict(composition_sums(_merge_part, mu, i, f_ring(bits))) == packed
+                l1 = dict(composition_sums(_merge_part, mu, i, f_ring(None)))
                 assert all(l1_norm(f) <= l1[rest] for rest, f in sums), (mu, i)
 
 
@@ -254,24 +262,32 @@ WIDE_CELL = ((5, 3, 1), (1,) * 9)
 PACKED_ROUTES = (("pieri", char_pieri), ("combinatorial", char_combinatorial))
 
 
+# every memo of a value built on the packed evaluator: the L1 runs memoize
+# their bounds, and the packed runs their values; the strip weights, the
+# Pfaffians and the Q-basis and Pfaffian tables beneath the peel run on the
+# same evaluator as the peel and Pieri
+PACKED_MEMOS = (
+    _g_pieri,
+    f_ring,
+    _g_peel_ring,
+    _ring_expansion,
+    _reduced_expansion,
+    _sbs_ring,
+    sbs_principal,
+    _shape_weight,
+    _sub_pfaffian_ring,
+    _pair_ring,
+)
+
+
 @pytest.fixture
 def fresh_packed_memos():
-    # the L1 runs memoize their bounds, and the packed runs their values, so
     # a memo hit would skip a patched width or norm, and a patched one must
-    # not leak out; the strip weights run on the same evaluator
-    memos = (
-        _g_pieri,
-        _f_ring,
-        _g_peel_ring,
-        _ring_expansion,
-        _sbs_ring,
-        sbs_principal,
-        _shape_weight,
-    )
-    for memo in memos:
+    # not leak out
+    for memo in PACKED_MEMOS:
         memo.cache_clear()
     yield
-    for memo in memos:
+    for memo in PACKED_MEMOS:
         memo.cache_clear()
 
 
@@ -285,7 +301,7 @@ def _warm_strip_weights(lam, mu):
         for k in set(mu):
             if k <= weight(nu):
                 gds_expansion(nu, k)
-    _f_ring.cache_clear()
+    f_ring.cache_clear()
     _sbs_ring.cache_clear()
     return _shape_weight.cache_info().misses
 
@@ -294,7 +310,7 @@ def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed
     assert max(g_pieri_qpoly(*WIDE_CELL).coeffs) == 2709504
     assert _g_peel_ring(gds_expansion, *WIDE_CELL, None) == 21504
     misses = _warm_strip_weights(*WIDE_CELL)
-    monkeypatch.setattr("hcchar.characters.pack_width", lambda bound: 16)
+    monkeypatch.setattr("hcchar.packed.pack_width", lambda bound: 16)
     for method, route in PACKED_ROUTES:
         with pytest.raises(OverflowError, match="16 bits cannot hold"):
             route(*WIDE_CELL)
@@ -311,7 +327,7 @@ def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_packed_m
     # an L1 run that under-counts: every f_t, and every reduced strip weight,
     # counted as norm 1
     misses = _warm_strip_weights(*WIDE_CELL)
-    monkeypatch.setattr("hcchar.characters.l1_norm", lambda f: 1)
+    monkeypatch.setattr("hcchar.packed.l1_norm", lambda f: 1)
     for method, route in PACKED_ROUTES:
         with pytest.raises(OverflowError, match="exceeds its bound"):
             route(*WIDE_CELL)
@@ -319,11 +335,18 @@ def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_packed_m
 
 
 # (1, 3, 2, 2) has border-strip coefficients up to 356 under an L1 bound of
-# 6096; the shape multiplies in (2, 1), 2 and (-q)^3
+# 6096; the shape multiplies in (2, 1), 2 and (-q)^3.  The Pfaffian of
+# (7, 4, 2, 1)/(3, 1) has coefficients up to 32 under an L1 bound of 5024,
+# and the Q-basis step from (6, 4, 2, 1) by 5 up to 52 under 1056; the
+# tables are read, as the peel reads them, through _reduced_expansion
 STRIP_ROWS = (1, 3, 2, 2)
+PFAFFIAN_STEP = (pfaffian_expansion, (7, 4, 2, 1), 10)
+QBASIS_STEP = (qbasis_expansion, (6, 4, 2, 1), 5)
 STRIP_CALLS = (
     ("sbs_principal", sbs_principal, (STRIP_ROWS,)),
     ("_shape_weight", _shape_weight, (3, True, ((2, 1), STRIP_ROWS))),
+    ("pfaffian_expansion", _reduced_expansion, PFAFFIAN_STEP),
+    ("qbasis_expansion", _reduced_expansion, QBASIS_STEP),
 )
 
 
@@ -341,18 +364,42 @@ def test_strip_weights_refuse_a_width_or_bound_too_small(
     expected = {name: memo(*args) for name, memo, args in STRIP_CALLS}
     assert max(map(abs, expected["sbs_principal"].coeffs)) == 356
     assert _sbs_ring(STRIP_ROWS, None) == 6096
-    for memo in (_f_ring, _sbs_ring, sbs_principal, _shape_weight):
+    pfaffian = skew_Q_principal((7, 4, 2, 1), (3, 1))
+    assert (max(map(abs, pfaffian.coeffs)), _sub_pfaffian_ring((7, 4, 2, 1), (1, 3), None)) == (
+        32,
+        5024,
+    )
+    qbasis = qbasis_expansion(*QBASIS_STEP[1:])
+    assert max(max(map(abs, value.coeffs)) for _, value in qbasis) == 52
+    assert max(value for _, value in _qbasis_ring(*QBASIS_STEP[1:], None)) == 1056
+    for memo in PACKED_MEMOS:
         memo.cache_clear()
     with monkeypatch.context() as patched:
-        patched.setattr(f"hcchar.characters.{patch[0]}", patch[1])
+        patched.setattr(f"hcchar.packed.{patch[0]}", patch[1])
+        with pytest.raises(OverflowError, match=match):
+            skew_Q_principal((7, 4, 2, 1), (3, 1))
         for name, memo, args in STRIP_CALLS:
             with pytest.raises(OverflowError, match=match):
                 memo(*args)
             # nothing is returned, so nothing is memoized
             assert memo.cache_info().currsize == 0, name
-    for memo in (_f_ring, _sbs_ring):
+    # drop what the patched runs memoized beneath the values that raised
+    for memo in PACKED_MEMOS:
         memo.cache_clear()
     assert {name: memo(*args) for name, memo, args in STRIP_CALLS} == expected
+
+
+def test_qbasis_table_matches_the_qpoly_sums():
+    # the packed Q-basis step, unpacked entry by entry, against the same
+    # part-by-part sums in QPoly arithmetic, as tuples, so in the same order,
+    # for every strict lam with |lam| <= 12 and every k
+    steps = 0
+    for n in range(13):
+        for lam in strict_partitions_of(n):
+            for k in range(n + 1):
+                assert qbasis_expansion(lam, k) == qbasis_expansion_by_qpoly(lam, k), (lam, k)
+                steps += 1
+    assert steps == 693
 
 
 def test_sbs_l1_run_bounds_the_coarsening_sum():
@@ -376,7 +423,7 @@ def test_strip_weights_multiply_no_qpoly(monkeypatch):
     # f_single builds an f_t
     memos = (
         f_single,
-        _f_ring,
+        f_ring,
         _sbs_ring,
         sbs_principal,
         _shape_weight,
@@ -399,6 +446,26 @@ def test_strip_weights_multiply_no_qpoly(monkeypatch):
     assert len(table) == 15 * 15
     assert callers and set(callers) == {"f_single"}
     assert len(callers) <= f_single.cache_info().currsize
+
+
+def test_pfaffian_and_qbasis_tables_multiply_no_qpoly(monkeypatch, fresh_packed_memos):
+    # the Pfaffian and Q-basis tables run on packed ints: from cold memos, a
+    # weight-12 table of each route multiplies QPolys only where f_single
+    # builds an f_t and f_pair a row-row entry
+    for memo in (f_single, f_pair, composition_sums):
+        memo.cache_clear()
+    callers = []
+    original = QPoly.__mul__
+
+    def counting(self, other):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(self, other)
+
+    monkeypatch.setattr(QPoly, "__mul__", counting)
+    tables = [char_table(12, method) for method in ("pfaffian", "recursive")]
+    monkeypatch.undo()
+    assert tables == [char_table(12)] * 2
+    assert callers and set(callers) == {"f_single", "f_pair"}
 
 
 def test_pieri_slots_are_bounded_by_their_parts(fresh_packed_memos):
@@ -502,7 +569,7 @@ def test_character_pairing_and_two_row_form_multiply_no_qpoly(monkeypatch):
         f_single(n)
         _two_row_factor(n)
     memos = (
-        _f_ring,
+        f_ring,
         _sbs_ring,
         sbs_principal,
         _shape_weight,
@@ -552,7 +619,7 @@ def test_normalization_at_integer_points():
                 peeled = [_g_peel(expansion, lam, mu) for expansion in tables]
                 full = [
                     inner_product(g_product(mu), Q_lambda_vacuum(lam)),
-                    _unpacked(partial(_g_pieri, lam, mu)),
+                    unpacked(partial(_g_pieri, lam, mu)),
                 ]
                 for q0 in (3, -2, 2**61 - 1):
                     expect = 2 ** epsilon(lam) * _int_horner(chi, q0)

@@ -1,6 +1,6 @@
 """Every public entry that takes a partition checks it where it enters the
 library: the character routes, char_value under every method, the closed
-forms, orthogonality_sum and the bitrace functions.  Each bad input raises
+forms, the skew values, orthogonality_sum and the bitrace functions.  Each bad input raises
 its own error type and message, the same at every entry that reads it; a
 class may come unsorted, with zero parts, as a list, or with bool parts, and
 gives the value of its canonical form."""
@@ -14,13 +14,16 @@ from hcchar.bitrace import T_mu_nu, WeightMismatchError, regular_char, sbtr, sbt
 from hcchar.characters import (
     METHODS,
     BadShapeError,
+    NotGdsError,
     char_column,
     char_hook_mu,
     char_one_row,
     char_two_row,
     char_value,
     orthogonality_sum,
+    wt_gds,
 )
+from hcchar.pfaffian import NotContainedError, skew_Q_principal
 
 
 class Canonical(tuple):
@@ -51,8 +54,8 @@ def _not_ints(name, good, args):
     return out
 
 
-def _strict(parts):
-    return ValueError, f"lam must have strictly decreasing positive parts: {parts}"
+def _strict(parts, error=ValueError):
+    return error, f"lam must have strictly decreasing positive parts: {parts}"
 
 
 def _weakly(name, parts):
@@ -62,12 +65,13 @@ def _weakly(name, parts):
 LAM, MU = (3, 1), (3, 1)
 
 
-def _lam_cases(args):
-    # args(lam) is the entry's argument tuple for a shape lam of weight 4
+def _lam_cases(args, strict_error=ValueError):
+    # args(lam) is the entry's argument tuple for a shape lam of weight 4;
+    # a shape that is not strict raises strict_error
     return [
-        (args((1, 3)), _strict((1, 3))),
-        (args((3, 0, 1)), _strict((3, 0, 1))),
-        (args((2, 2)), _strict((2, 2))),
+        (args((1, 3)), _strict((1, 3), strict_error)),
+        (args((3, 0, 1)), _strict((3, 0, 1), strict_error)),
+        (args((2, 2)), _strict((2, 2), strict_error)),
         *_not_ints("lam", LAM, args),
         (args([3, 1]), Canonical(args(LAM))),
         (args((3, True)), Canonical(args(LAM))),
@@ -152,3 +156,41 @@ def test_class_pairs_check_their_input(entry):
         (((2, 2), (True, True, 2)), Canonical(((2, 2), (2, 1, 1)))),
     ]
     _check(PAIR_ENTRIES[entry], cases)
+
+
+# the skew entries, each with the name of its inner shape, its error for a
+# shape that is not strict (wt_gds: such a skew carries no strip weight) and
+# its outcome for an inner shape outside lam
+SKEW_ENTRIES = {
+    "skew_Q_principal": (
+        skew_Q_principal,
+        "mu",
+        ValueError,
+        (NotContainedError, "mu = (5,) is not contained in lam = (3, 1)"),
+    ),
+    "wt_gds": (
+        wt_gds,
+        "nu",
+        NotGdsError,
+        (NotGdsError, "(3, 1)/(5,) is not a generalized double strip"),
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", SKEW_ENTRIES)
+def test_skew_entries_check_their_input(entry):
+    # both shapes are checked before any shortcut: lam == mu, or an inner
+    # shape heavier than lam, answers only for shapes that pass
+    call, name, strict_error, outside = SKEW_ENTRIES[entry]
+    inner = (1,)
+    cases = [
+        *_lam_cases(lambda lam: (lam, inner), strict_error),
+        (((1, 3), (1, 3)), _strict((1, 3), strict_error)),
+        (((2, 2), (2, 2)), _strict((2, 2), strict_error)),
+        (((1, 3), (5,)), _strict((1, 3), strict_error)),
+        ((LAM, (2, 2)), (strict_error, f"{name} must have strictly decreasing positive parts: (2, 2)")),
+        *_not_ints(name, inner, lambda nu: (LAM, nu)),
+        ((LAM, (5,)), outside),
+        ((LAM, [True]), Canonical((LAM, inner))),
+    ]
+    _check(call, cases)

@@ -8,17 +8,19 @@ from hcchar.partitions import (
     strict_partitions_of,
     strict_subpartitions,
 )
-from hcchar.pfaffian import (
-    AntisymMatrix,
-    NotContainedError,
-    OddSizeError,
-    build_skew_matrix,
-    pfaffian,
-    skew_Q_principal,
-)
+from hcchar.pfaffian import NotContainedError, skew_Q_principal
 from hcchar.qpoly import ONE, QPoly, ZERO
 from hcchar.vertex import Q_lambda_vacuum, f_pair, f_single
-from oracles import antisym_entry, antisym_rows, determinant, principal_specialize
+from oracles import (
+    AntisymMatrix,
+    OddSizeError,
+    antisym_entry,
+    antisym_rows,
+    build_skew_matrix,
+    determinant,
+    pfaffian,
+    principal_specialize,
+)
 
 
 def random_antisym(rng, size, deg=2, span=3):
@@ -91,7 +93,27 @@ def test_build_skew_matrix_examples():
 
 def test_skew_principal_examples():
     assert skew_Q_principal((2, 1), (2, 1)) == ONE
+    assert skew_Q_principal((), ()) == ONE
     assert skew_Q_principal((3, 1), (3,)) == f_single(1)
+    assert skew_Q_principal((4, 2), ()) == f_pair(4, 2)
+    assert skew_Q_principal((2, 1), (1,)) == QPoly((2, -4, 2))
+    with pytest.raises(NotContainedError, match=r"^mu = \(3, 2\) is not contained in lam = \(3, 1\)$"):
+        skew_Q_principal((3, 1), (3, 2))
+
+
+def test_skew_principal_matches_the_index_set_pfaffian():
+    # the sub-Pfaffian recursion, memoized by parts and run on packed ints,
+    # against the QPoly Pfaffian of the whole matrix, on every strict pair
+    # nu inside lam with |lam| <= 13
+    pairs = 0
+    for n in range(14):
+        for lam in strict_partitions_of(n):
+            for m in range(n + 1):
+                for nu in strict_subpartitions(lam, m):
+                    expected = pfaffian(build_skew_matrix(lam, nu))
+                    assert skew_Q_principal(lam, nu) == expected, (lam, nu)
+                    pairs += 1
+    assert pairs == 1955
 
 
 def test_skew_principal_matches_power_sum_oracle():

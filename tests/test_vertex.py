@@ -3,7 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from hcchar.characters import _g_peel
+from hcchar.characters import _g_peel, qbasis_expansion
 from hcchar.gamma import (
     GammaElement,
     expand_q_n,
@@ -16,7 +16,6 @@ from hcchar.vertex import (
     apply_Q_m,
     f_pair,
     f_single,
-    qbasis_expansion,
     straighten,
 )
 from oracles import apply_g_star_pbasis, f_coeff, qbasis_expansion_by_composition, scaled
