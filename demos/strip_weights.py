@@ -4,9 +4,11 @@
 Shows the classification record (two-cell diagonal count, connected
 components of the one-cell part), the weight polynomial assembled from
 coarsening sums, and its agreement with the Pfaffian value of the same skew.
+Ends with one lowering step of the combinatorial rule: every strict nu whose
+skew lam/nu is a k-cell generalized double strip, with its weight.
 """
 
-from hcchar.characters import sbs_principal, wt_gds
+from hcchar.characters import gds_expansion, sbs_principal, wt_gds
 from hcchar.partitions import classify_skew
 from hcchar.pfaffian import skew_Q_principal
 
@@ -59,6 +61,12 @@ def main() -> None:
     for lam, mu in [((6,), ()), ((4, 2), ()), ((4, 2), (4, 1)), ((6, 5, 4, 3, 2), (5, 4, 2))]:
         cls = classify_skew(lam, mu)
         print(f"  {lam}/{mu}: {cls.kind.value}, weight {wt_gds(lam, mu).to_text()}")
+
+    print()
+    lam, k = (6, 5, 4, 3, 2), 5
+    print(f"one lowering step of the combinatorial rule, lam = {lam}, k = {k}:")
+    for nu, weight in gds_expansion(lam, k):
+        print(f"  {lam}/{nu}: weight {weight.to_text()}")
 
 
 if __name__ == "__main__":

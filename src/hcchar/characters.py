@@ -14,8 +14,9 @@ Input is checked once, where it enters.  Each public route validates
 (lam, mu) in _validate: int parts, lam a strict partition, mu sorted into
 a partition of the same weight, and for the strip-weight route odd mu.  It
 then hands the canonical pair to its private core (_CORES), which checks
-nothing.  char_value under auto validates once, tests mu for oddness once
-and runs a core; under a named method it runs that method's public route.
+nothing.  char_value under auto validates once, tests the parity of mu's
+parts once (_all_odd: _validate has made mu a partition already) and runs a
+core; under a named method it runs that method's public route.
 table_values, and char_table through it, check only the weight and method:
 the cells of table_cells are canonical by construction, with odd mu, so
 each goes to the method's core directly.  The closed forms and
@@ -35,23 +36,29 @@ block of its coarsenings.
 The character is G(lam, mu) / (2^{eps(lam)} (q-1)^{l(mu)}), for the
 unnormalized pairing G.  Every lowering step by k >= 1 is a sum of
 f-products, and each one-part factor f_t = 2(q-1)(t)_q, so the peel takes
-one factor q - 1 out of every entry of its table, once per entry and
-memoized (_reduced_expansion), and returns G / (q-1)^{l(mu)}; a step that
-does not divide raises NonDivisibleError naming lam, k and nu.  The oracle
-and Pieri build the full G and divide it by (q-1)^{l(mu)} in one step, so
-five-way agreement compares the two ways of taking out (q-1)^{l(mu)}.  All
-five routes then share one normalization, _finalize, the exact division by
-2^{eps(lam)} in ints, which asserts integer coefficients.  Agreement of the
-routes cannot see a fault there; test_normalization_at_integer_points checks
-it in plain ints.  The two-row closed form folds the normalization into its
-own generating function instead.
+one factor q - 1 out of every weight it reads, once per weight and
+memoized: per shape for the strip weights (_reduced_shape_weight), per
+(table, lam, k) for the Pfaffian and Q-basis tables (_reduced_expansion).
+It returns the int coefficients of G / (q-1)^{l(mu)}; a weight that does not
+divide raises NonDivisibleError naming the first lam, k and nu that read it.
+The oracle and Pieri build the full G and divide it by (q-1)^{l(mu)} in one
+step, so five-way agreement compares the two ways of taking out
+(q-1)^{l(mu)}.  All five routes then share one normalization, _finalize: it
+takes the coefficients of G / (q-1)^{l(mu)} (the peel's unpacked ints, the
+divided coefficients of the oracle and Pieri), asserts that they are ints
+divisible by 2^{eps(lam)}, divides in ints and builds the returned QPoly
+once, through the trusted int constructor QPoly._from_ints.  Agreement of
+the routes cannot see a fault there; test_normalization_at_integer_points
+checks it in plain ints.  The two-row closed form folds the normalization
+into its own generating function instead.
 
 Every route but the oracle runs through the packed evaluator of packed.py,
 which holds the proof that its L1 run bounds its packed run: Pieri, the
 peel, the strip weights, and the Pfaffian and Q-basis tables.
 in_ring maps a QPoly into either run: each f_t once per width (f_ring),
 which Pieri's f-sums, the border strips, the Pfaffians and the Q-basis
-sums read, and the peel's reduced tables once per (table, lam, k, width).
+sums read, the reduced strip weights once per (shape, width), and the
+Pfaffian and Q-basis reduced tables once per (table, lam, k, width).
 A border strip's value is its top-block recursion on those f_t (_sbs_ring);
 a strip weight multiplies 2 when the length drops by two and its
 components' values, and in the packed run the sign (-1)^c and the shift by
@@ -68,13 +75,23 @@ is the unpacked reference the packing is checked against; tests/oracles.py
 keeps the index-set Pfaffian and the Q-basis sums in QPoly arithmetic as
 the references of the two tables.
 
-The peel memoizes three levels, each keyed by its lowering-step table so
-that the routes never share a value: the reduced tables
-(_reduced_expansion), their images in each run (_ring_expansion) and the
-peel in each run (_g_peel_ring).  The full-weight tables and the unpacked
-values of _g_peel are not memoized: the peel reads each full-weight table
-once, through _reduced_expansion, and an unpacked value is rebuilt from two
-hits of _g_peel_ring and one unpack.
+Each peel route hands the peel its own lowering steps, steps(lam, k, bits)
+-> (nu, reduced weight in the run of width bits): _gds_steps, _pfaffian_steps
+or _qbasis_steps.  The peel in each run (_g_peel_ring) is memoized by steps,
+so that the routes never share a value.  Beneath it, the Pfaffian and
+Q-basis steps, _ring_expansion bound to their table, memoize two levels,
+each keyed by the table: the reduced tables (_reduced_expansion) and their
+images in each run (_ring_expansion).
+The strip-weight steps memoize by classification instead: each (lam, k) as
+(nu, shape) pairs (_gds_shapes), each shape's weight (_shape_weight), that
+weight over q - 1 (_reduced_shape_weight), its image in each run
+(_reduced_shape_ring), and the steps of each (lam, k, width) (_gds_steps),
+built from those lookups, so a weight is divided once per shape and mapped
+once per (shape, width), however many (lam, k, nu) read it.  The full-weight
+tables and the unpacked peel values are not memoized: the peel reads each
+Pfaffian and Q-basis table once, through _reduced_expansion, no strip-weight
+table at all, and an unpacked value is rebuilt from two hits of
+_g_peel_ring and one unpack.
 
 The strip weight of lam*/nu* depends only on the shape of the strip: its
 count c of two-cell diagonals, whether the length drops by two, and its
@@ -84,8 +101,9 @@ multiplies the components' values and the product commutes, while the rows
 within a component keep their order, since the border-strip value depends
 on it.  The key is classification data, never a QPoly value: the Pfaffian
 and Q-basis tables hold equal entries for odd k, and a value-keyed memo
-would let those routes share answers with this one.  Only gds_expansion and
-wt_gds read it, and char_hook_mu through gds_expansion's reduced table.
+would let those routes share answers with this one.  gds_expansion and
+wt_gds read it, and the peel and char_hook_mu read its reduced weights
+through _gds_steps.
 
 The order of the weight-n table's cells is defined once, by table_cells.
 table_values computes the values in that order, one at a time, and
@@ -99,12 +117,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, partial
+from itertools import repeat
+from operator import and_, rshift
 
 from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
     SkewClassification,
     SkewKind,
+    _all_odd,
     _classify_strict_skew,
     classify_skew,
     delta,
@@ -123,17 +144,21 @@ from .partitions import (
     strict_subpartitions,
     weight,
 )
-from .packed import f_ring, in_ring, unpacked, unpacked_table
+from .packed import f_ring, in_ring, unpacked, unpacked_ints, unpacked_table
 from .pfaffian import _skew_Q_core
 from .qpoly import (
     NonDivisibleError,
     QPoly,
-    ZERO,
+    Scalar,
     exact_div_int,
     exact_div_qminus1_pow,
     round_bracket,
 )
-from .vertex import Q_lambda_vacuum, _prepend, composition_sums
+from .vertex import Q_lambda_vacuum, _merge_part, _prepend, composition_sums
+
+# what a strip weight depends on: (c, doubled, sorted components), read from
+# a classification by _shape_key
+ShapeKey = tuple[int, bool, tuple[Parts, ...]]
 
 
 class NotGdsError(ValueError):
@@ -170,12 +195,12 @@ def wt_gds(lam: Parts, nu: Parts) -> QPoly:
     cls = classify_skew(lam, nu)
     if cls.kind is SkewKind.NOT_GDS:
         raise NotGdsError(f"{lam}/{nu} is not a generalized double strip")
-    return _strip_weight(cls)
+    return _shape_weight(*_shape_key(cls))
 
 
-def _strip_weight(cls: SkewClassification) -> QPoly:
-    # the weight wt_gds describes, read from a classification that is not NOT_GDS
-    return _shape_weight(cls.c, cls.l_jump == 2, tuple(sorted(cls.beta_components)))
+def _shape_key(cls: SkewClassification) -> ShapeKey:
+    # the shape of a classification that is not NOT_GDS
+    return cls.c, cls.l_jump == 2, tuple(sorted(cls.beta_components))
 
 
 @cache
@@ -186,13 +211,20 @@ def _shape_weight(c: int, doubled: bool, components: tuple[Parts, ...]) -> QPoly
 
 def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     """All strict nu below lam whose skew is a k-cell generalized double
-    strip, with their weights.  Each candidate is strict and inside lam by
-    construction, so it is classified once, unchecked."""
+    strip, with their weights, each read by the shape of its strip."""
+    return tuple((nu, _shape_weight(*shape)) for nu, shape in _gds_shapes(lam, k))
+
+
+@cache
+def _gds_shapes(lam: Parts, k: int) -> tuple[tuple[Parts, ShapeKey], ...]:
+    # the nu of gds_expansion(lam, k), each with the shape of its strip; every
+    # candidate is strict and inside lam by construction, so it is classified
+    # once, unchecked, and once per (lam, k)
     out = []
     for nu in strict_subpartitions(lam, weight(lam) - k):
         cls = _classify_strict_skew(lam, nu)
         if cls.kind is not SkewKind.NOT_GDS:
-            out.append((nu, _strip_weight(cls)))
+            out.append((nu, _shape_key(cls)))
     return tuple(out)
 
 
@@ -265,16 +297,16 @@ def _shape_ring(c: int, doubled: bool, components: tuple[Parts, ...], bits: int 
 # ---------------------------------------------------------------------------
 # normalization boundary
 
-def _finalize(reduced: QPoly, lam: Parts, mu: Parts) -> QPoly:
-    # reduced is G(lam, mu) / (q-1)^{l(mu)}; what is left is 2^{eps(lam)}
-    two_eps = 2 ** epsilon(lam)
-    try:
-        return exact_div_int(reduced, two_eps)
-    except NonDivisibleError as exc:
-        rational = reduced.scale(Fraction(1, two_eps)).to_text()
-        raise NonDivisibleError(
-            f"character for {lam}, {mu} is not integral: {rational}"
-        ) from exc
+def _finalize(reduced: tuple[Scalar, ...], lam: Parts, mu: Parts) -> QPoly:
+    # reduced holds the coefficients of G(lam, mu) / (q-1)^{l(mu)}, ascending
+    # with no trailing zero; what is left is 2^{eps(lam)}, taken out of each
+    # coefficient in ints before the value is built, once
+    shift = epsilon(lam)
+    low = (1 << shift) - 1
+    if Fraction not in map(type, reduced) and not any(map(and_, reduced, repeat(low))):
+        return QPoly._from_ints(tuple(map(rshift, reduced, repeat(shift))))
+    rational = QPoly(reduced).scale(Fraction(1, 1 << shift)).to_text()
+    raise NonDivisibleError(f"character for {lam}, {mu} is not integral: {rational}")
 
 
 def _validate(lam: Parts, mu: Parts) -> tuple[Parts, Parts]:
@@ -301,22 +333,29 @@ def char_oracle(lam: Parts, mu: Parts) -> QPoly:
 
 def _oracle_core(lam: Parts, mu: Parts) -> QPoly:
     g_value = inner_product(g_product(mu), Q_lambda_vacuum(lam))
-    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
+    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)).coeffs, lam, mu)
+
+
+# the lowering steps of the peel: for k >= 1 each weight is a sum of
+# f-products, and f_t = 2(q-1)(t)_q, so one factor q - 1 is taken out of
+# every weight before the peel reads it
+
+def _step_error(lam: Parts, k: int, nu: Parts, value: QPoly) -> NonDivisibleError:
+    return NonDivisibleError(
+        f"lowering step lam = {lam}, k = {k}, nu = {nu}: "
+        f"weight {value.to_text()} is not divisible by q - 1"
+    )
 
 
 @cache
 def _reduced_expansion(expansion, lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
-    # expansion(lam, k) with one factor of q - 1 taken out of every weight;
-    # for k >= 1 each weight is a sum of f-products, and f_t = 2(q-1)(t)_q
+    # expansion(lam, k) with one factor of q - 1 taken out of every weight
     out = []
     for nu, value in expansion(lam, k):
         try:
             out.append((nu, exact_div_qminus1_pow(value, 1)))
         except NonDivisibleError as exc:
-            raise NonDivisibleError(
-                f"lowering step lam = {lam}, k = {k}, nu = {nu}: "
-                f"weight {value.to_text()} is not divisible by q - 1"
-            ) from exc
+            raise _step_error(lam, k, nu, value) from exc
     return tuple(out)
 
 
@@ -328,22 +367,56 @@ def _ring_expansion(
     return tuple((nu, in_ring(value, bits)) for nu, value in _reduced_expansion(expansion, lam, k))
 
 
+# the Pfaffian and Q-basis routes' lowering steps; partials, so that the peel
+# calls the memo directly
+_pfaffian_steps = partial(_ring_expansion, pfaffian_expansion)
+_qbasis_steps = partial(_ring_expansion, qbasis_expansion)
+
+
 @cache
-def _g_peel_ring(expansion, lam: Parts, mu: Parts, bits: int | None) -> int:
-    # G(lam, mu) / (q-1)^{l(mu)} at q = 2^bits: peel mu[0] through one
-    # lowering-step table, expansion(lam, k) -> (nu, value), with a factor
-    # q - 1 out of each value; for bits None, the same peel on L1 norms
+def _reduced_shape_weight(shape: ShapeKey) -> QPoly:
+    # the strip weight of shape with one factor of q - 1 taken out, once per
+    # shape
+    return exact_div_qminus1_pow(_shape_weight(*shape), 1)
+
+
+@cache
+def _reduced_shape_ring(shape: ShapeKey, bits: int | None) -> int:
+    # _reduced_shape_weight(shape) mapped by in_ring, once per (shape, width)
+    return in_ring(_reduced_shape_weight(shape), bits)
+
+
+@cache
+def _gds_steps(lam: Parts, k: int, bits: int | None) -> tuple[tuple[Parts, int], ...]:
+    # gds_expansion(lam, k) with one factor of q - 1 out of every weight,
+    # mapped by in_ring: lookups by shape, the first nu to read a weight that
+    # does not divide named in the error
+    out = []
+    for nu, shape in _gds_shapes(lam, k):
+        try:
+            out.append((nu, _reduced_shape_ring(shape, bits)))
+        except NonDivisibleError as exc:
+            raise _step_error(lam, k, nu, _shape_weight(*shape)) from exc
+    return tuple(out)
+
+
+@cache
+def _g_peel_ring(steps, lam: Parts, mu: Parts, bits: int | None) -> int:
+    # G(lam, mu) / (q-1)^{l(mu)} at q = 2^bits: peel mu[0] through one route's
+    # lowering steps, steps(lam, k, bits) -> (nu, weight over q - 1 at
+    # q = 2^bits); for bits None, the same peel on L1 norms
     if not lam:
         return 1
     out = 0
-    for nu, value in _ring_expansion(expansion, lam, mu[0], bits):
-        out += value * _g_peel_ring(expansion, nu, mu[1:], bits)
+    for nu, value in steps(lam, mu[0], bits):
+        out += value * _g_peel_ring(steps, nu, mu[1:], bits)
     return out
 
 
-def _g_peel(expansion, lam: Parts, mu: Parts) -> QPoly:
-    # G(lam, mu) / (q-1)^{l(mu)}, peeled through one lowering-step table
-    return unpacked(partial(_g_peel_ring, expansion, lam, mu))
+def _g_peel(steps, lam: Parts, mu: Parts) -> tuple[int, ...]:
+    # the coefficients of G(lam, mu) / (q-1)^{l(mu)}, peeled through one
+    # route's lowering steps
+    return unpacked_ints(partial(_g_peel_ring, steps, lam, mu))
 
 
 def char_recursive(lam: Parts, mu: Parts) -> QPoly:
@@ -352,7 +425,7 @@ def char_recursive(lam: Parts, mu: Parts) -> QPoly:
 
 
 def _recursive_core(lam: Parts, mu: Parts) -> QPoly:
-    return _finalize(_g_peel(qbasis_expansion, lam, mu), lam, mu)
+    return _finalize(_g_peel(_qbasis_steps, lam, mu), lam, mu)
 
 
 def char_pfaffian(lam: Parts, mu: Parts) -> QPoly:
@@ -361,30 +434,20 @@ def char_pfaffian(lam: Parts, mu: Parts) -> QPoly:
 
 
 def _pfaffian_core(lam: Parts, mu: Parts) -> QPoly:
-    return _finalize(_g_peel(pfaffian_expansion, lam, mu), lam, mu)
+    return _finalize(_g_peel(_pfaffian_steps, lam, mu), lam, mu)
 
 
 def char_combinatorial(lam: Parts, mu: Parts) -> QPoly:
     """Murnaghan-Nakayama-style recursion over generalized double strips."""
     lam, mu = _validate(lam, mu)
-    if not is_odd_partition(mu):
+    if not _all_odd(mu):
         raise ValueError(f"combinatorial rule needs odd mu, got {mu}")
     return _combinatorial_core(lam, mu)
 
 
 def _combinatorial_core(lam: Parts, mu: Parts) -> QPoly:
     # mu odd as well as canonical
-    return _finalize(_g_peel(gds_expansion, lam, mu), lam, mu)
-
-
-@cache
-def _merge_part(m: int, rest: Parts) -> tuple[tuple[int, Parts], ...]:
-    # mu_1 - tau_1 joins the partition the later parts leave; composition_sums
-    # bounds tau_1 by mu_1, so the difference is never negative.  The merge
-    # coefficient is 1, so the f-sums of L1 norms bound the L1 norms of the
-    # f-sums.  Memoized, since the L1 run and every packed width repeat the
-    # same merges
-    return ((1, sort_desc((m,) + rest)),)
+    return _finalize(_g_peel(_gds_steps, lam, mu), lam, mu)
 
 
 @cache
@@ -417,7 +480,7 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
 
 def _pieri_core(lam: Parts, mu: Parts) -> QPoly:
     g_value = unpacked(partial(_g_pieri, lam, mu))
-    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)), lam, mu)
+    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)).coeffs, lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +562,16 @@ def char_hook_mu(lam: Parts, k: int) -> QPoly:
     n = weight(lam)
     if k % 2 == 0 or k < 1 or k > n:
         raise BadShapeError(f"hook class needs odd k <= {n}, got {k}")
-    # each f_1 of the tail is 2(q-1); the first step gives up its q - 1 in
-    # the peel's own reduced table
-    total = ZERO
-    for nu, value in _reduced_expansion(gds_expansion, lam, k):
-        total = total + value.scale(shifted_syt_count(nu))
-    return _finalize(total.scale(2 ** (n - k)), lam, (k,))
+    return _finalize(unpacked_ints(partial(_hook_ring, lam, k)), lam, (k,))
+
+
+def _hook_ring(lam: Parts, k: int, bits: int | None) -> int:
+    # G(lam, mu) / (q-1)^{l(mu)} at q = 2^bits for mu = (k, 1^{n-k}): each f_1
+    # of the tail is 2(q-1), and the first step gives up its q - 1 in the
+    # combinatorial route's own lowering steps; for bits None, a bound on its
+    # L1 norm
+    steps = _gds_steps(lam, k, bits)
+    return sum(shifted_syt_count(nu) * value for nu, value in steps) << (weight(lam) - k)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +587,9 @@ METHODS = {
 
 
 def _auto_core(lam: Parts, mu: Parts) -> QPoly:
-    # the strip-weight recursion for odd mu, Pieri for every other class
-    if is_odd_partition(mu):
+    # the strip-weight recursion for odd mu, Pieri for every other class; mu
+    # is a partition already, so only its parity is tested
+    if _all_odd(mu):
         return _combinatorial_core(lam, mu)
     return _pieri_core(lam, mu)
 

@@ -387,10 +387,11 @@ def _closed_form_disagreements(n: int):
     for form, lam, mu, value in closed_forms():
         values = {f"{form} form": value, "combinatorial": characters.char_combinatorial(lam, mu)}
         if form == "hook":
-            # the hook form reads the combinatorial route's own first-step
-            # table, gds_expansion reduced by q - 1, so a wrong strip weight or
-            # reduction there cancels out of the pairing above; the Pieri
-            # route reads no strip weight and divides its own G
+            # the hook form reads the combinatorial route's own first
+            # lowering steps, the strip weights reduced by q - 1 per shape
+            # (characters._gds_steps), so a wrong strip weight or reduction
+            # there cancels out of the pairing above; the Pieri route reads
+            # no strip weight and divides its own G
             values["pieri"] = characters.char_pieri(lam, mu)
         if failure := _disagreement(_cell(lam, mu), values):
             yield failure

@@ -16,16 +16,18 @@ computes.  A term left out of the L1 run must have norm 1: a factor q^c,
 whose packed form is a shift by c B bits, leaves |q^c f| = |f|.
 
 in_ring maps a QPoly into either run, and f_ring gives each f_t once per
-width.  unpacked unpacks one value; unpacked_table unpacks a keyed table of
-values at one width, the widest its entries need, each entry under its own
-bound.
+width.  unpacked_ints unpacks one value to its int coefficients, for a
+caller that finishes on ints, and unpacked to a QPoly; unpacked_table
+unpacks a keyed table of values at one width, the widest its entries need,
+each entry under its own bound.  All three take their width from pack_width
+and check it, and every digit, in qpoly.unpack_ints.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .qpoly import QPoly, l1_norm, pack, pack_width, unpack
+from .qpoly import QPoly, l1_norm, pack, pack_width, unpack, unpack_ints
 from .vertex import f_single
 
 
@@ -35,13 +37,18 @@ def in_ring(f: QPoly, bits: int | None) -> int:
     return l1_norm(f) if bits is None else pack(f, bits)
 
 
-def unpacked(run) -> QPoly:
-    """The polynomial that run(bits) packs at q = 2^bits, for a recursion
-    whose run(None), on L1 norms with the signs dropped, bounds its
-    coefficients."""
+def unpacked_ints(run) -> tuple[int, ...]:
+    """The coefficients, ascending and with no trailing zero, of the
+    polynomial that run(bits) packs at q = 2^bits, for a recursion whose
+    run(None), on L1 norms with the signs dropped, bounds its coefficients."""
     bound = run(None)
     bits = pack_width(bound)
-    return unpack(run(bits), bits, bound)
+    return unpack_ints(run(bits), bits, bound)
+
+
+def unpacked(run) -> QPoly:
+    """unpacked_ints(run) as a QPoly."""
+    return QPoly._from_ints(unpacked_ints(run))
 
 
 def unpacked_table(run) -> tuple[tuple[object, QPoly], ...]:

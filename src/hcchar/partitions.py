@@ -55,7 +55,13 @@ def is_strict_partition(parts: Parts) -> bool:
 
 
 def is_odd_partition(parts: Parts) -> bool:
-    return is_partition(parts) and set(map(mod, parts, repeat(2))) <= {1}
+    return is_partition(parts) and _all_odd(parts)
+
+
+def _all_odd(parts: Parts) -> bool:
+    # the parity half of is_odd_partition, for parts already known to be a
+    # partition
+    return set(map(mod, parts, repeat(2))) <= {1}
 
 
 def ensure_int_parts(parts, name: str = "partition") -> Parts:

@@ -38,6 +38,13 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _from_ints(cls, coeffs: tuple[int, ...]) -> "QPoly":
+        # trusted: coeffs is a tuple of ints with no trailing zero, taken as is
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
     @property
     def degree(self) -> int:
         """Degree of the leading term; the zero polynomial has degree -1."""
@@ -231,11 +238,13 @@ def pack_width(bound: int) -> int:
     return (bound.bit_length() + 2 + 15) // 16 * 16
 
 
-def unpack(value: int, bits: int, bound: int) -> QPoly:
-    """The inverse of pack for coefficients of magnitude at most bound: the
-    balanced base-2^bits digits of value, each in [-2^(bits-1), 2^(bits-1)).
-    Raises OverflowError, returning nothing, when bits leaves fewer than two
-    spare bits above bound or a digit exceeds bound."""
+def unpack_ints(value: int, bits: int, bound: int) -> tuple[int, ...]:
+    """The coefficients, ascending, of the integer polynomial that pack
+    gave as value, for coefficients of magnitude at most bound: the
+    balanced base-2^bits digits of value, each in [-2^(bits-1), 2^(bits-1)),
+    with no trailing zero.  Raises OverflowError, returning nothing, when
+    bits leaves fewer than two spare bits above bound or a digit exceeds
+    bound."""
     if bits < bound.bit_length() + 2:
         raise OverflowError(f"{bits} bits cannot hold coefficients up to {bound}")
     mask, half = (1 << bits) - 1, 1 << (bits - 1)
@@ -248,7 +257,12 @@ def unpack(value: int, bits: int, bound: int) -> QPoly:
             raise OverflowError(f"packed coefficient {digit} exceeds its bound {bound}")
         digits.append(digit)
         value = (value - digit) >> bits
-    return QPoly(digits)
+    return tuple(digits)
+
+
+def unpack(value: int, bits: int, bound: int) -> QPoly:
+    """The inverse of pack: unpack_ints as a QPoly."""
+    return QPoly._from_ints(unpack_ints(value, bits, bound))
 
 
 @cache

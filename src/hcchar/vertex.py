@@ -1,14 +1,15 @@
 """Vertex-operator actions: the creation operators on the power-sum ring,
 Clifford straightening of operator words and the f-coefficients.
 composition_sums is the one sum of f-products over compositions: the
-Q-basis lowering step and the Pieri recursion both read it."""
+Q-basis lowering step and the Pieri recursion both read it, the latter with
+_merge_part as its merge."""
 
 from __future__ import annotations
 
 from functools import cache
 
 from .gamma import GammaElement, apply_exp_partials, expand_q_n
-from .partitions import Parts
+from .partitions import Parts, sort_desc
 from .qpoly import ONE, QPoly, ZERO, round_bracket
 
 
@@ -129,6 +130,16 @@ def composition_sums(
                 term = f_t * value * c
                 sums[key] = sums[key] + term if key in sums else term
     return tuple((key, value) for key, value in sums.items() if value)
+
+
+@cache
+def _merge_part(m: int, rest: Parts) -> tuple[tuple[int, Parts], ...]:
+    # the merge of the Pieri recursion's f-sums: mu_1 - tau_1 joins the
+    # partition the later parts leave; composition_sums bounds tau_1 by mu_1,
+    # so the difference is never negative.  The merge coefficient is 1, so
+    # the f-sums of L1 norms bound the L1 norms of the f-sums.  Memoized,
+    # since the L1 run and every packed width repeat the same merges
+    return ((1, sort_desc((m,) + rest)),)
 
 
 @cache

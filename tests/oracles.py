@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from hcchar.characters import _merge_part, _two_row_factor, char_value, table_cells
+from hcchar.characters import _two_row_factor, char_value, table_cells
 from hcchar.gamma import GammaElement, _sub_multisets
 from hcchar.partitions import (
     Parts,
@@ -28,7 +28,7 @@ from hcchar.partitions import (
 )
 from hcchar.pfaffian import NotContainedError
 from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, exact_div_int
-from hcchar.vertex import _prepend, composition_sums, f_pair, f_single, straighten
+from hcchar.vertex import _merge_part, _prepend, composition_sums, f_pair, f_single, straighten
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,10 @@ def sbs_principal_by_coarsenings(rows: Parts) -> QPoly:
 
 
 def strip_weight_by_classification(cls: SkewClassification) -> QPoly:
-    """Reference for characters._strip_weight: (-q)^c, times 2 when the
-    length drops by two, times the coarsening sum of every component, taken
-    in the classification's own order."""
+    """Reference for the strip weight of a classification, which
+    characters.wt_gds reads by its shape: (-q)^c, times 2 when the length
+    drops by two, times the coarsening sum of every component, taken in the
+    classification's own order."""
     out = monomial((-1) ** cls.c, cls.c)
     if cls.l_jump == 2:
         out = out.scale(2)
@@ -471,7 +472,7 @@ def qbasis_expansion_by_composition(lam: Parts, k: int) -> dict[Parts, QPoly]:
 
 
 def pieri_f_sums_by_composition(mu: Parts, i: int) -> dict[Parts, QPoly]:
-    """Reference for vertex.composition_sums(characters._merge_part, mu, i):
+    """Reference for vertex.composition_sums(vertex._merge_part, mu, i):
     f_tau added once per composition tau of i bounded by mu, keyed by the
     partition mu - tau."""
     f_by_rest: dict[Parts, QPoly] = {}

@@ -8,6 +8,7 @@ from hcchar.bitrace import alpha, regular_char, sbtr, sbtr_powersum
 from hcchar.characters import (
     METHODS,
     _g_peel_ring,
+    _gds_steps,
     char_column,
     char_combinatorial,
     char_hook_mu,
@@ -160,7 +161,7 @@ def test_criterion_3_five_way_agreement_on_samples_at_weights_15_to_18():
     cells = 0
     for n, size in ((15, 12), (16, 12), (17, 8), (18, 8)):
         odd_cells = [(lam, mu) for mu in odd_partitions_of(n) for lam in strict_partitions_of(n)]
-        bounds = [_g_peel_ring(gds_expansion, lam, mu, None) for lam, mu in odd_cells]
+        bounds = [_g_peel_ring(_gds_steps, lam, mu, None) for lam, mu in odd_cells]
         widest = odd_cells[bounds.index(max(bounds))]
         sample = [widest] + rng.sample([c for c in odd_cells if c != widest], size - 1)
         for lam, mu in sample:

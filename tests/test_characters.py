@@ -16,9 +16,15 @@ from hcchar.characters import (
     _g_peel,
     _g_peel_ring,
     _g_pieri,
-    _merge_part,
+    _gds_shapes,
+    _gds_steps,
+    _hook_ring,
+    _pfaffian_steps,
     _qbasis_ring,
+    _qbasis_steps,
     _reduced_expansion,
+    _reduced_shape_ring,
+    _reduced_shape_weight,
     _ring_expansion,
     _sbs_ring,
     _shape_weight,
@@ -57,7 +63,7 @@ from hcchar.partitions import (
     strict_subpartitions,
     weight,
 )
-from hcchar.packed import f_ring, unpacked
+from hcchar.packed import f_ring, in_ring, unpacked
 from hcchar.pfaffian import _pair_ring, _sub_pfaffian_ring, skew_Q_principal
 from hcchar.qpoly import (
     NonDivisibleError,
@@ -69,7 +75,7 @@ from hcchar.qpoly import (
     pack,
     round_bracket,
 )
-from hcchar.vertex import Q_lambda_vacuum, composition_sums, f_pair, f_single
+from hcchar.vertex import Q_lambda_vacuum, _merge_part, composition_sums, f_pair, f_single
 from oracles import (
     char_two_row_by_qpoly,
     coarsenings,
@@ -107,9 +113,11 @@ def test_wt_gds_examples():
 
 
 def test_gds_expansion_classifies_each_candidate_once(monkeypatch):
-    # the weight of a kept nu is read from the classification that kept it,
-    # so every strict nu of the right weight inside lam is classified once,
-    # by the core that checks neither strictness nor containment
+    # the weight of a kept nu is read from the shape of the classification
+    # that kept it, memoized per (lam, k), so every strict nu of the right
+    # weight inside lam is classified once, by the core that checks neither
+    # strictness nor containment, and a second read, or the peel's read of
+    # the same step, classifies nothing
     calls = []
 
     def counting(lam, nu):
@@ -117,12 +125,20 @@ def test_gds_expansion_classifies_each_candidate_once(monkeypatch):
         return _classify_strict_skew(lam, nu)
 
     monkeypatch.setattr("hcchar.characters._classify_strict_skew", counting)
+    _gds_shapes.cache_clear()
+    _gds_steps.cache_clear()
     for n in range(1, 10):
         for lam in strict_partitions_of(n):
             for k in range(1, n + 1):
                 calls.clear()
-                gds_expansion(lam, k)
-                assert calls == [(lam, nu) for nu in strict_subpartitions(lam, n - k)], (lam, k)
+                expansion = gds_expansion(lam, k)
+                candidates = [(lam, nu) for nu in strict_subpartitions(lam, n - k)]
+                assert calls == candidates, (lam, k)
+                assert gds_expansion(lam, k) == expansion
+                assert [nu for nu, _ in _gds_steps(lam, k, None)] == [nu for nu, _ in expansion]
+                assert calls == candidates, (lam, k)
+    _gds_shapes.cache_clear()
+    _gds_steps.cache_clear()
 
 
 def test_strip_weights_match_their_classification():
@@ -236,7 +252,7 @@ def test_pieri_matches_the_unpacked_reference():
             for lam in strict_partitions_of(n):
                 reference = g_pieri_qpoly(lam, mu)
                 reduced = exact_div_qminus1_pow(reference, nonzero_length(mu))
-                assert char_pieri(lam, mu) == _finalize(reduced, lam, mu), (lam, mu)
+                assert char_pieri(lam, mu) == _finalize(reduced.coeffs, lam, mu), (lam, mu)
                 bound = _g_pieri(lam, mu, None)
                 assert all(abs(c) <= bound for c in reference.coeffs), (lam, mu)
 
@@ -272,6 +288,9 @@ PACKED_MEMOS = (
     _g_peel_ring,
     _ring_expansion,
     _reduced_expansion,
+    _gds_steps,
+    _reduced_shape_ring,
+    _reduced_shape_weight,
     _sbs_ring,
     sbs_principal,
     _shape_weight,
@@ -308,7 +327,7 @@ def _warm_strip_weights(lam, mu):
 
 def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed_memos):
     assert max(g_pieri_qpoly(*WIDE_CELL).coeffs) == 2709504
-    assert _g_peel_ring(gds_expansion, *WIDE_CELL, None) == 21504
+    assert _g_peel_ring(_gds_steps, *WIDE_CELL, None) == 21504
     misses = _warm_strip_weights(*WIDE_CELL)
     monkeypatch.setattr("hcchar.packed.pack_width", lambda bound: 16)
     for method, route in PACKED_ROUTES:
@@ -427,8 +446,10 @@ def test_strip_weights_multiply_no_qpoly(monkeypatch):
         _sbs_ring,
         sbs_principal,
         _shape_weight,
-        _reduced_expansion,
-        _ring_expansion,
+        _gds_shapes,
+        _reduced_shape_weight,
+        _reduced_shape_ring,
+        _gds_steps,
         _g_peel_ring,
     )
     for memo in memos:
@@ -573,8 +594,10 @@ def test_character_pairing_and_two_row_form_multiply_no_qpoly(monkeypatch):
         _sbs_ring,
         sbs_principal,
         _shape_weight,
-        _reduced_expansion,
-        _ring_expansion,
+        _gds_shapes,
+        _reduced_shape_weight,
+        _reduced_shape_ring,
+        _gds_steps,
         _g_peel_ring,
         _two_row_tails,
     )
@@ -611,12 +634,12 @@ def test_normalization_at_integer_points():
     # integer points q0 where q0 - 1 is not a unit; five-way agreement sees
     # the peel's per-step division by q - 1 only against the one division of
     # the oracle and Pieri, and cannot see the 2^eps(lam) division they share
-    tables = (qbasis_expansion, pfaffian_expansion, gds_expansion)
+    steps = (_qbasis_steps, _pfaffian_steps, _gds_steps)
     for n in range(1, 13):
         for mu in odd_partitions_of(n):
             for lam in strict_partitions_of(n):
                 chi = char_combinatorial(lam, mu)
-                peeled = [_g_peel(expansion, lam, mu) for expansion in tables]
+                peeled = [QPoly(_g_peel(route_steps, lam, mu)) for route_steps in steps]
                 full = [
                     inner_product(g_product(mu), Q_lambda_vacuum(lam)),
                     unpacked(partial(_g_pieri, lam, mu)),
@@ -635,12 +658,12 @@ def test_peel_is_the_unreduced_peel_over_its_power_of_q_minus_1():
     # on every class each table takes
     for n in range(11):
         for mu in partitions_of(n):
-            tables = (qbasis_expansion, pfaffian_expansion)
+            tables = ((qbasis_expansion, _qbasis_steps), (pfaffian_expansion, _pfaffian_steps))
             if is_odd_partition(mu):
-                tables += (gds_expansion,)
+                tables += ((gds_expansion, _gds_steps),)
             for lam in strict_partitions_of(n):
-                for expansion in tables:
-                    reduced = _g_peel(expansion, lam, mu)
+                for expansion, steps in tables:
+                    reduced = QPoly(_g_peel(steps, lam, mu))
                     reference = g_peel_unreduced(expansion, lam, mu)
                     assert reduced * QPoly((-1, 1)) ** len(mu) == reference, (expansion, lam, mu)
 
@@ -650,7 +673,7 @@ def test_a_step_not_divisible_by_q_minus_1_names_its_cell():
         return ((lam[1:], ONE),)
 
     with pytest.raises(NonDivisibleError) as exc:
-        _g_peel(fake, (2, 1), (2, 1))
+        _g_peel(partial(_ring_expansion, fake), (2, 1), (2, 1))
     assert str(exc.value) == (
         "lowering step lam = (2, 1), k = 2, nu = (1,): weight 1 is not divisible by q - 1"
     )
@@ -658,7 +681,7 @@ def test_a_step_not_divisible_by_q_minus_1_names_its_cell():
 
 def test_normalization_errors_name_the_value(monkeypatch):
     with pytest.raises(NonDivisibleError) as exc:
-        _finalize(ONE, (2, 1), (1, 1, 1))
+        _finalize(ONE.coeffs, (2, 1), (1, 1, 1))
     assert str(exc.value) == "character for (2, 1), (1, 1, 1) is not integral: 1/2"
 
     # 1/2 + 1 over the strict partitions (3) and (2, 1)
@@ -766,7 +789,8 @@ def test_char_table_is_char_value_cell_by_cell():
 
 def test_inputs_are_validated_once(monkeypatch, fresh_packed_memos):
     # a table validates none of its cells, and one auto value validates its
-    # input once and tests mu for oddness once
+    # input once and tests the parity of mu's parts once, not whether mu is a
+    # partition again
     calls = Counter()
 
     def counting(name):
@@ -780,12 +804,13 @@ def test_inputs_are_validated_once(monkeypatch, fresh_packed_memos):
 
     counting("_validate")
     counting("is_odd_partition")
+    counting("_all_odd")
     for method in ["auto", *METHODS]:
         char_table(12, method)
         assert calls["_validate"] == 0, method
     calls.clear()
     char_value((5, 4, 2, 1), (1, 3, 3, 5))
-    assert calls == {"_validate": 1, "is_odd_partition": 1}
+    assert calls == {"_validate": 1, "_all_odd": 1}
 
 
 def test_wt_gds_matches_pfaffian_small():
@@ -807,29 +832,90 @@ def test_degree_bound():
 
 
 def test_peel_memo_is_keyed_by_its_expansion():
-    # char_pfaffian and char_combinatorial share the _reduced_expansion,
-    # _ring_expansion and _g_peel_ring memos beneath _g_peel; were the
-    # expansion table missing from their keys, each route would be handed
-    # the other's cached values and five-way agreement could not notice
+    # the three peel routes share the _g_peel_ring memo, and the Pfaffian and
+    # Q-basis routes the _reduced_expansion and _ring_expansion memos beneath
+    # it; were a route's lowering steps, or its table, missing from their
+    # keys, each route would be handed another's cached values and five-way
+    # agreement could not notice
     lam, mu = (4, 2, 1), (3, 3, 1)
-    value = _g_peel(gds_expansion, lam, mu)
-    assert not value.is_zero()
+    value = _g_peel(_gds_steps, lam, mu)
+    assert value
+
+    def doubled_steps(lam, k, bits):
+        return tuple((nu, 2 * w) for nu, w in _gds_steps(lam, k, bits))
+
+    assert _g_peel(doubled_steps, lam, mu) == tuple(c * 2 ** len(mu) for c in value)
+    assert _g_peel(_pfaffian_steps, lam, mu) == _g_peel(_qbasis_steps, lam, mu) == value
+    # the same for the memo of reduced lowering steps beneath the peel
+    reduced = _reduced_expansion(pfaffian_expansion, lam, mu[0])
+    assert reduced
 
     def doubled(lam, k):
-        return tuple((nu, w.scale(2)) for nu, w in gds_expansion(lam, k))
+        return tuple((nu, w.scale(2)) for nu, w in pfaffian_expansion(lam, k))
 
-    assert _g_peel(doubled, lam, mu) == value.scale(2 ** len(mu))
-    # the same for the memo of reduced lowering steps beneath the peel
-    reduced = _reduced_expansion(gds_expansion, lam, mu[0])
-    assert reduced
     assert _reduced_expansion(doubled, lam, mu[0]) == tuple((nu, w.scale(2)) for nu, w in reduced)
     # and for the packed layer, both its L1 bound and its packed value
     for bits in (None, 32):
-        packed = _g_peel_ring(gds_expansion, lam, mu, bits)
+        packed = _g_peel_ring(_gds_steps, lam, mu, bits)
         if bits is None:
-            assert packed >= l1_norm(value)
+            assert packed >= l1_norm(QPoly(value))
         else:
-            assert packed == pack(value, bits)
-        assert _g_peel_ring(doubled, lam, mu, bits) == packed * 2 ** len(mu), bits
-        ring = _ring_expansion(gds_expansion, lam, mu[0], bits)
+            assert packed == pack(QPoly(value), bits)
+        assert _g_peel_ring(doubled_steps, lam, mu, bits) == packed * 2 ** len(mu), bits
+        ring = _ring_expansion(pfaffian_expansion, lam, mu[0], bits)
         assert _ring_expansion(doubled, lam, mu[0], bits) == tuple((nu, 2 * w) for nu, w in ring)
+
+
+def test_strip_steps_read_the_reduced_weight_of_each_shape():
+    # the combinatorial route's lowering steps, read per shape, are the
+    # entries of gds_expansion with one factor q - 1 divided out and mapped
+    # into each run, for every strict lam with |lam| <= 14, every odd k and
+    # the L1 run and three widths
+    checked = 0
+    for n in range(15):
+        for lam in strict_partitions_of(n):
+            for k in range(1, n + 1, 2):
+                expansion = gds_expansion(lam, k)
+                for bits in (None, 16, 32, 48):
+                    expected = tuple(
+                        (nu, in_ring(exact_div_qminus1_pow(w, 1), bits)) for nu, w in expansion
+                    )
+                    assert _gds_steps(lam, k, bits) == expected, (lam, k, bits)
+                checked += 1
+    assert checked == 607
+
+
+def test_a_strip_weight_not_divisible_by_q_minus_1_names_its_first_reader(
+    monkeypatch, fresh_packed_memos
+):
+    # a shape weight that does not divide raises, naming the first (lam, k,
+    # nu) whose step reads it, on the peel and on the hook form, and leaves
+    # no reduced weight, step or peel value memoized
+    lam, mu = (4, 2, 1), (3, 3, 1)
+    nu = gds_expansion(lam, 3)[0][0]
+    message = f"lowering step lam = {lam}, k = 3, nu = {nu}: weight 1 is not divisible by q - 1"
+    monkeypatch.setattr("hcchar.characters._shape_weight", lambda c, doubled, components: ONE)
+    for route in (partial(char_combinatorial, lam, mu), partial(char_hook_mu, lam, 3)):
+        with pytest.raises(NonDivisibleError) as exc:
+            route()
+        assert str(exc.value) == message
+        for memo in (_reduced_shape_weight, _reduced_shape_ring, _gds_steps, _g_peel_ring):
+            assert memo.cache_info().currsize == 0, memo
+
+
+def test_every_route_returns_int_coefficients_with_no_trailing_zero():
+    # _finalize builds each value through the trusted int constructor, which
+    # neither converts nor trims; every route's values up to weight 10, and
+    # the hook form's, must hold plain ints with a nonzero leading one
+    def canonical(value):
+        return all(type(c) is int for c in value.coeffs) and (
+            not value.coeffs or value.coeffs[-1] != 0
+        )
+
+    for n in range(11):
+        for method in ["auto", *METHODS]:
+            for cell, value in char_table(n, method).items():
+                assert canonical(value), (method, cell)
+        for lam in strict_partitions_of(n):
+            for k in range(1, n + 1, 2):
+                assert canonical(char_hook_mu(lam, k)), (lam, k)

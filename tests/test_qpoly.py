@@ -17,6 +17,7 @@ from hcchar.qpoly import (
     pack_width,
     round_bracket,
     unpack,
+    unpack_ints,
 )
 from oracles import has_integer_coeffs_by_scan, square_bracket
 
@@ -138,6 +139,9 @@ def test_pack_unpack_roundtrip(f, spare):
         value = pack(f, bits)
         assert value == f.eval_at(2**bits)
         assert unpack(value, bits, bound) == f
+        # the int digits are f's coefficients as they are, no trailing zero
+        digits = unpack_ints(value, bits, bound)
+        assert digits == f.coeffs and all(type(c) is int for c in digits)
 
 
 def test_packing_refuses_what_it_cannot_hold():
@@ -147,12 +151,13 @@ def test_packing_refuses_what_it_cannot_hold():
             helper(half)
     f = QPoly((3, -200, 7))
     assert pack_width(200) == 16 and pack_width(2**14) == 32
-    # one bit short of two spare bits above the bound
-    with pytest.raises(OverflowError):
-        unpack(pack(f, 9), 9, 200)
-    # wide enough, but a digit beyond the bound it was promised
-    with pytest.raises(OverflowError, match="-200 exceeds its bound 199"):
-        unpack(pack(f, 16), 16, 199)
+    for helper in (unpack, unpack_ints):
+        # one bit short of two spare bits above the bound
+        with pytest.raises(OverflowError, match="^9 bits cannot hold coefficients up to 200$"):
+            helper(pack(f, 9), 9, 200)
+        # wide enough, but a digit beyond the bound it was promised
+        with pytest.raises(OverflowError, match="-200 exceeds its bound 199"):
+            helper(pack(f, 16), 16, 199)
 
 
 def test_eval_examples():
