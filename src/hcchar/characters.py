@@ -57,8 +57,9 @@ which holds the proof that its L1 run bounds its packed run: Pieri, the
 peel, the strip weights, and the Pfaffian and Q-basis tables.
 in_ring maps a QPoly into either run: each f_t once per width (f_ring),
 which Pieri's f-sums, the border strips, the Pfaffians and the Q-basis
-sums read, the reduced strip weights once per (shape, width), and the
-Pfaffian and Q-basis reduced tables once per (table, lam, k, width).
+sums read, and the Pfaffian and Q-basis reduced tables once per (table,
+lam, k, width); ints_in_ring maps the reduced strip weights, held as int
+coefficients, once per (shape, width).
 A border strip's value is its top-block recursion on those f_t (_sbs_ring);
 a strip weight multiplies 2 when the length drops by two and its
 components' values, and in the packed run the sign (-1)^c and the shift by
@@ -82,28 +83,35 @@ so that the routes never share a value.  Beneath it, the Pfaffian and
 Q-basis steps, _ring_expansion bound to their table, memoize two levels,
 each keyed by the table: the reduced tables (_reduced_expansion) and their
 images in each run (_ring_expansion).
-The strip-weight steps memoize by classification instead: each (lam, k) as
-(nu, shape) pairs (_gds_shapes), each shape's weight (_shape_weight), that
-weight over q - 1 (_reduced_shape_weight), its image in each run
+The strip-weight steps memoize by shape instead: each (lam, k) as (nu,
+shape) pairs (_gds_shapes), each shape's weight (_shape_weight), the int
+coefficients of that weight over q - 1 (_reduced_shape_weight, by synthetic
+division on ints), their image in each run, read straight off those ints
 (_reduced_shape_ring), and the steps of each (lam, k, width) (_gds_steps),
 built from those lookups, so a weight is divided once per shape and mapped
-once per (shape, width), however many (lam, k, nu) read it.  The full-weight
-tables and the unpacked peel values are not memoized: the peel reads each
-Pfaffian and Q-basis table once, through _reduced_expansion, no strip-weight
-table at all, and an unpacked value is rebuilt from two hits of
-_g_peel_ring and one unpack.
+once per (shape, width), however many (lam, k, nu) read it.  _gds_shapes
+makes one pass over the strict partitions of |lam| - k: a candidate inside
+lam, found by C-level comparisons, goes once to partitions._strip_rows, the
+row arithmetic that classify_skew also runs, which drops a candidate with a
+three-cell diagonal and otherwise gives c, the components and the drop in
+length, with no SkewClassification built.  Each shape key is interned
+(_shape), so equal shapes share one tuple across the (lam, k) entries.  The
+full-weight tables and the unpacked peel values are not memoized: the peel
+reads each Pfaffian and Q-basis table once, through _reduced_expansion, no
+strip-weight table at all, and an unpacked value is rebuilt from two hits
+of _g_peel_ring and one unpack.
 
 The strip weight of lam*/nu* depends only on the shape of the strip: its
 count c of two-cell diagonals, whether the length drops by two, and its
 one-cell components, not on where the strip sits.  _shape_weight memoizes
-it by (c, doubled, sorted components); sorting is sound because the weight
-multiplies the components' values and the product commutes, while the rows
-within a component keep their order, since the border-strip value depends
-on it.  The key is classification data, never a QPoly value: the Pfaffian
-and Q-basis tables hold equal entries for odd k, and a value-keyed memo
-would let those routes share answers with this one.  gds_expansion and
-wt_gds read it, and the peel and char_hook_mu read its reduced weights
-through _gds_steps.
+it by (c, doubled, sorted components), the key that _shape builds and
+interns; sorting is sound because the weight multiplies the components'
+values and the product commutes, while the rows within a component keep
+their order, since the border-strip value depends on it.  The key is
+classification data, never a QPoly value: the Pfaffian and Q-basis tables
+hold equal entries for odd k, and a value-keyed memo would let those routes
+share answers with this one.  gds_expansion and wt_gds read it, and the
+peel and char_hook_mu read its reduced weights through _gds_steps.
 
 The order of the weight-n table's cells is defined once, by table_cells.
 table_values computes the values in that order, one at a time, and
@@ -118,15 +126,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from itertools import repeat
-from operator import and_, rshift
+from operator import and_, le, rshift
 
 from .gamma import g_product, inner_product
 from .partitions import (
     Parts,
-    SkewClassification,
     SkewKind,
     _all_odd,
-    _classify_strict_skew,
+    _strip_rows,
     classify_skew,
     delta,
     ensure_int_parts,
@@ -144,20 +151,20 @@ from .partitions import (
     strict_subpartitions,
     weight,
 )
-from .packed import f_ring, in_ring, unpacked, unpacked_ints, unpacked_table
+from .packed import f_ring, in_ring, ints_in_ring, unpacked, unpacked_ints, unpacked_table
 from .pfaffian import _skew_Q_core
 from .qpoly import (
     NonDivisibleError,
     QPoly,
     Scalar,
     exact_div_int,
+    exact_div_qminus1_coeffs,
     exact_div_qminus1_pow,
     round_bracket,
 )
 from .vertex import Q_lambda_vacuum, _merge_part, _prepend, composition_sums
 
-# what a strip weight depends on: (c, doubled, sorted components), read from
-# a classification by _shape_key
+# what a strip weight depends on: (c, doubled, sorted components)
 ShapeKey = tuple[int, bool, tuple[Parts, ...]]
 
 
@@ -195,12 +202,19 @@ def wt_gds(lam: Parts, nu: Parts) -> QPoly:
     cls = classify_skew(lam, nu)
     if cls.kind is SkewKind.NOT_GDS:
         raise NotGdsError(f"{lam}/{nu} is not a generalized double strip")
-    return _shape_weight(*_shape_key(cls))
+    return _shape_weight(*_shape(cls.c, cls.beta_components, cls.l_jump))
 
 
-def _shape_key(cls: SkewClassification) -> ShapeKey:
-    # the shape of a classification that is not NOT_GDS
-    return cls.c, cls.l_jump == 2, tuple(sorted(cls.beta_components))
+# every shape key met so far, each mapped to itself, so that equal shapes
+# share one tuple across the entries of _gds_shapes
+_SHAPES: dict[ShapeKey, ShapeKey] = {}
+
+
+def _shape(c: int, components: tuple[Parts, ...], l_jump: int) -> ShapeKey:
+    # the interned shape key of a strip with c two-cell diagonals, these
+    # one-cell components and a length drop of l_jump
+    key = (c, l_jump == 2, tuple(sorted(components)))
+    return _SHAPES.setdefault(key, key)
 
 
 @cache
@@ -217,14 +231,18 @@ def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
 
 @cache
 def _gds_shapes(lam: Parts, k: int) -> tuple[tuple[Parts, ShapeKey], ...]:
-    # the nu of gds_expansion(lam, k), each with the shape of its strip; every
-    # candidate is strict and inside lam by construction, so it is classified
-    # once, unchecked, and once per (lam, k)
+    # the nu of gds_expansion(lam, k), each with the shape of its strip, in
+    # one pass over the strict partitions of |lam| - k: each candidate inside
+    # lam (its parts positive, so no longer than lam and no part above lam's)
+    # goes to the row arithmetic once, unchecked, and once per (lam, k)
     out = []
-    for nu in strict_subpartitions(lam, weight(lam) - k):
-        cls = _classify_strict_skew(lam, nu)
-        if cls.kind is not SkewKind.NOT_GDS:
-            out.append((nu, _shape_key(cls)))
+    if 0 <= k <= weight(lam):
+        length = len(lam)
+        for nu in strict_partitions_of(weight(lam) - k):
+            if len(nu) <= length and all(map(le, nu, lam)):
+                strip = _strip_rows(lam, nu)
+                if strip is not None:
+                    out.append((nu, _shape(*strip)))
     return tuple(out)
 
 
@@ -374,16 +392,17 @@ _qbasis_steps = partial(_ring_expansion, qbasis_expansion)
 
 
 @cache
-def _reduced_shape_weight(shape: ShapeKey) -> QPoly:
-    # the strip weight of shape with one factor of q - 1 taken out, once per
-    # shape
-    return exact_div_qminus1_pow(_shape_weight(*shape), 1)
+def _reduced_shape_weight(shape: ShapeKey) -> tuple[int, ...]:
+    # the int coefficients of the strip weight of shape with one factor of
+    # q - 1 taken out, once per shape
+    return exact_div_qminus1_coeffs(_shape_weight(*shape).coeffs, 1)
 
 
 @cache
 def _reduced_shape_ring(shape: ShapeKey, bits: int | None) -> int:
-    # _reduced_shape_weight(shape) mapped by in_ring, once per (shape, width)
-    return in_ring(_reduced_shape_weight(shape), bits)
+    # _reduced_shape_weight(shape) mapped into the run of width bits, once
+    # per (shape, width)
+    return ints_in_ring(_reduced_shape_weight(shape), bits)
 
 
 @cache

@@ -15,9 +15,10 @@ absolute value, bounds the L1 norm, and so every coefficient, of what it
 computes.  A term left out of the L1 run must have norm 1: a factor q^c,
 whose packed form is a shift by c B bits, leaves |q^c f| = |f|.
 
-in_ring maps a QPoly into either run, and f_ring gives each f_t once per
-width.  unpacked_ints unpacks one value to its int coefficients, for a
-caller that finishes on ints, and unpacked to a QPoly; unpacked_table
+in_ring maps a QPoly into either run, ints_in_ring a polynomial given by
+its int coefficients, and f_ring gives each f_t once per width.
+unpacked_ints unpacks one value to its int coefficients, for a caller
+that finishes on ints, and unpacked to a QPoly; unpacked_table
 unpacks a keyed table of values at one width, the widest its entries need,
 each entry under its own bound.  All three take their width from pack_width
 and check it, and every digit, in qpoly.unpack_ints.
@@ -27,7 +28,16 @@ from __future__ import annotations
 
 from functools import cache
 
-from .qpoly import QPoly, l1_norm, pack, pack_width, unpack, unpack_ints
+from .qpoly import (
+    QPoly,
+    l1_norm,
+    l1_norm_ints,
+    pack,
+    pack_ints,
+    pack_width,
+    unpack,
+    unpack_ints,
+)
 from .vertex import f_single
 
 
@@ -35,6 +45,12 @@ def in_ring(f: QPoly, bits: int | None) -> int:
     """The integer polynomial f packed at q = 2^bits, or its L1 norm for
     bits None."""
     return l1_norm(f) if bits is None else pack(f, bits)
+
+
+def ints_in_ring(coeffs: tuple[int, ...], bits: int | None) -> int:
+    """in_ring for the integer polynomial with coefficients coeffs,
+    ascending."""
+    return l1_norm_ints(coeffs) if bits is None else pack_ints(coeffs, bits)
 
 
 def unpacked_ints(run) -> tuple[int, ...]:

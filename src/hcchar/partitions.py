@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cache
 from itertools import repeat
 from math import factorial
-from operator import ge, gt, le, lt, mod
+from operator import ge, gt, le, mod
 from typing import NamedTuple
 
 from .qpoly import NonDivisibleError
@@ -160,10 +160,10 @@ def bounded_compositions(total: int, bounds: Parts) -> list[Parts]:
 # shifted diagrams and skew classification
 
 def contains(lam: Parts, mu: Parts) -> bool:
-    """Entrywise containment mu_i <= lam_i."""
-    if len(mu) > len(lam):
-        return not any(mu[len(lam):])
-    return all(map(le, mu, lam))
+    """Entrywise containment mu_i <= lam_i, the shorter of the two padded
+    with zeros."""
+    tail_mu, tail_lam = mu[len(lam):], lam[len(mu):]
+    return all(map(le, mu, lam)) and max(tail_mu, default=0) <= 0 <= min(tail_lam, default=0)
 
 
 class SkewKind(Enum):
@@ -194,10 +194,38 @@ def classify_skew(lam: Parts, mu: Parts) -> SkewClassification:
     """Classify the shifted skew lam*/mu* into strip types by row arithmetic.
 
     Both shapes must be strict partitions with mu inside lam; anything else
-    is NOT_GDS.  Pad nu = mu with zeros to length l(lam).  Row i of lam*/nu*
-    covers the diagonals nu_i .. lam_i - 1, and the rows covering one
-    diagonal are consecutive, so no diagonal holds three cells exactly when
-    nu_i >= lam_{i+2} for every i.
+    is NOT_GDS.  The row arithmetic is _strip_rows, the one core that shape
+    enumeration (characters._gds_shapes) also calls, on the candidates it
+    has already found strict and inside lam; the kind follows from c and the
+    number of components.
+    """
+    strip = None
+    if is_strict_partition(lam) and is_strict_partition(mu) and contains(lam, mu):
+        strip = _strip_rows(lam, mu)
+    if strip is None:
+        return SkewClassification(SkewKind.NOT_GDS, 0, (), len(lam) - len(mu))
+    c, components, l_jump = strip
+    if c == 0 and len(components) == 1:
+        kind = SkewKind.SHIFTED_BORDER_STRIP
+    elif c == 0:
+        kind = SkewKind.GENERALIZED_STRIP
+    elif len(components) == 1:
+        kind = SkewKind.DOUBLE_STRIP
+    else:
+        kind = SkewKind.GENERALIZED_DOUBLE_STRIP
+    return SkewClassification(kind, c, components, l_jump)
+
+
+def _strip_rows(lam: Parts, mu: Parts) -> tuple[int, tuple[Parts, ...], int] | None:
+    """c, the one-cell components (top component first) and l_jump of the
+    shifted skew lam*/mu*, for strict mu inside strict lam, neither of which
+    it checks; None when some diagonal holds three cells.
+
+    Pad nu = mu with zeros to length l(lam).  Row i of lam*/nu* covers the
+    diagonals nu_i .. lam_i - 1, and the rows covering one diagonal are
+    consecutive, so no diagonal holds three cells exactly when
+    nu_i >= lam_{i+2} for every i: when l(lam) - l(mu) <= 2 and
+    mu_i >= lam_{i+2} on the parts of mu.
 
     That diagonal test implies the definition's split into two pieces free
     of 2x2 blocks, at every weight.  For strict beta inside alpha,
@@ -216,43 +244,27 @@ def classify_skew(lam: Parts, mu: Parts) -> SkewClassification:
     diagonal d sits above the cell of row i+1 on diagonal d - 1.  Row i+1's
     segment stops before min(lam_{i+1}, nu_i) <= max(nu_i, lam_{i+1}), where
     row i's starts, so the two join exactly when nu_i = lam_{i+1}, which
-    also makes both nonempty.
+    also makes both nonempty: so on row 0, where nothing is above, no
+    component has begun yet.
     """
-    if is_strict_partition(lam) and is_strict_partition(mu) and contains(lam, mu):
-        return _classify_strict_skew(lam, mu)
-    return SkewClassification(SkewKind.NOT_GDS, 0, (), len(lam) - len(mu))
-
-
-def _classify_strict_skew(lam: Parts, mu: Parts) -> SkewClassification:
-    # classify_skew for strict mu inside strict lam, which it does not check:
-    # shape enumeration calls it on candidates that are both by construction
     l_jump = len(lam) - len(mu)
-    n = len(lam)
+    if l_jump > 2 or not all(map(ge, mu, lam[2:])):
+        return None
     nu = mu + (0,) * l_jump
-    below = lam[1:] + (0, 0)
-    if any(map(lt, nu, below[1:])):  # a diagonal with three cells
-        return SkewClassification(SkewKind.NOT_GDS, 0, (), l_jump)
-
-    c = sum(max(0, below[i] - nu[i]) for i in range(n))
+    c = 0
     components: list[Parts] = []
-    for i in range(n):
-        size = min(lam[i], nu[i - 1] if i else lam[i]) - max(nu[i], below[i])
-        if i and nu[i - 1] == lam[i]:
+    # row i: lam_i, lam_{i+1}, nu_i and nu_{i-1}, which on row 0 is lam_0
+    for part, below, here, above in zip(lam, lam[1:] + (0,), nu, lam[:1] + nu):
+        if below > here:
+            c += below - here
+            size = min(part, above) - below
+        else:
+            size = min(part, above) - here
+        if above == part and components:
             components[-1] += (size,)
         elif size > 0:
             components.append((size,))
-    beta_components = tuple(components)
-
-    m = len(beta_components)
-    if c == 0 and m == 1:
-        kind = SkewKind.SHIFTED_BORDER_STRIP
-    elif c == 0:
-        kind = SkewKind.GENERALIZED_STRIP
-    elif m == 1:
-        kind = SkewKind.DOUBLE_STRIP
-    else:
-        kind = SkewKind.GENERALIZED_DOUBLE_STRIP
-    return SkewClassification(kind, c, beta_components, l_jump)
+    return c, tuple(components), l_jump
 
 
 # ---------------------------------------------------------------------------

@@ -178,14 +178,22 @@ ONE = QPoly((1,))
 
 
 def exact_div_qminus1_pow(f: QPoly, m: int) -> QPoly:
-    """Divide f by (q-1)^m, requiring the division to be exact.
+    """Divide f by (q-1)^m, requiring the division to be exact."""
+    return QPoly(exact_div_qminus1_coeffs(f.coeffs, m))
+
+
+def exact_div_qminus1_coeffs(coeffs: tuple[Scalar, ...], m: int) -> tuple[Scalar, ...]:
+    """The coefficients of the quotient by (q-1)^m, for m >= 0, of the
+    polynomial with coefficients coeffs, ascending with no trailing zero,
+    requiring the division to be exact; int coefficients give ints, with no
+    trailing zero.
 
     The m passes of synthetic division run in place over one list."""
     if m < 0:
         raise ValueError("negative power")
-    if not m or not f.coeffs:
-        return f
-    cs = list(f.coeffs)
+    if not m or not coeffs:
+        return coeffs
+    cs = list(coeffs)
     top = len(cs) - 1
     # the dividend is cs[lo:]; a pass leaves the quotient's coefficient of
     # q^j, the sum of the dividend's coefficients from q^{j+1} up, at cs[lo+1+j]
@@ -196,7 +204,7 @@ def exact_div_qminus1_pow(f: QPoly, m: int) -> QPoly:
             cs[i] = carry
         if carry + cs[lo]:
             raise NonDivisibleError(f"remainder {carry + cs[lo]} dividing by (q-1)")
-    return QPoly(cs[m:])
+    return tuple(cs[m:])
 
 
 def exact_div_int(f: QPoly, d: int) -> QPoly:
@@ -220,13 +228,23 @@ def _int_coeffs(f: QPoly) -> tuple[int, ...]:
 def l1_norm(f: QPoly) -> int:
     """The sum of the absolute values of the coefficients of the integer
     polynomial f."""
-    return sum(abs(c) for c in _int_coeffs(f))
+    return l1_norm_ints(_int_coeffs(f))
+
+
+def l1_norm_ints(coeffs: tuple[int, ...]) -> int:
+    """l1_norm of the integer polynomial with coefficients coeffs."""
+    return sum(map(abs, coeffs))
 
 
 def pack(f: QPoly, bits: int) -> int:
     """The integer polynomial f evaluated at q = 2^bits."""
+    return pack_ints(_int_coeffs(f), bits)
+
+
+def pack_ints(coeffs: tuple[int, ...], bits: int) -> int:
+    """pack of the integer polynomial with coefficients coeffs, ascending."""
     value = 0
-    for c in reversed(_int_coeffs(f)):
+    for c in reversed(coeffs):
         value = (value << bits) + c
     return value
 

@@ -60,9 +60,11 @@ def sort_desc_by_scan(parts) -> Parts:
 
 
 def contains_by_scan(lam, mu) -> bool:
-    if len(mu) > len(lam):
-        return all(p == 0 for p in mu[len(lam):])
-    return all(m <= l for m, l in zip(mu, lam))
+    # both padded with zeros to one length, then compared entry by entry
+    size = max(len(lam), len(mu))
+    lam = tuple(lam) + (0,) * (size - len(lam))
+    mu = tuple(mu) + (0,) * (size - len(mu))
+    return all(mu[i] <= lam[i] for i in range(size))
 
 
 def has_integer_coeffs_by_scan(f: QPoly) -> bool:
@@ -451,6 +453,20 @@ def classify_skew_by_cells(lam: Parts, mu: Parts) -> SkewClassification:
     else:
         kind = SkewKind.GENERALIZED_DOUBLE_STRIP
     return SkewClassification(kind, c, beta_components, l_jump)
+
+
+def gds_shapes_by_classification(lam: Parts, k: int) -> tuple:
+    """Reference for characters._gds_shapes, in its filter-and-classify
+    form: every strict nu of weight |lam| - k inside lam, in
+    reverse-lexicographic order, classified by its cell set, each kept nu
+    with the shape (c, doubled, sorted components) of its strip."""
+    out = []
+    for nu in strict_partitions_between((), lam):
+        if sum(nu) == sum(lam) - k:
+            cls = classify_skew_by_cells(lam, nu)
+            if cls.kind is not SkewKind.NOT_GDS:
+                out.append((nu, (cls.c, cls.l_jump == 2, tuple(sorted(cls.beta_components)))))
+    return tuple(out)
 
 
 def qbasis_expansion_by_qpoly(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:

@@ -53,14 +53,13 @@ from hcchar.gamma import g_product, inner_product
 from hcchar.golden import golden_table
 from hcchar.partitions import (
     SkewKind,
-    _classify_strict_skew,
+    _strip_rows,
     classify_skew,
     epsilon,
     is_odd_partition,
     nonzero_length,
     odd_partitions_of,
     strict_partitions_of,
-    strict_subpartitions,
     weight,
 )
 from hcchar.packed import f_ring, in_ring, unpacked
@@ -83,6 +82,7 @@ from oracles import (
     f_coeff,
     g_peel_unreduced,
     g_pieri_qpoly,
+    gds_shapes_by_classification,
     orthogonality_sum_by_qpoly,
     partitions_of,
     pieri_f_sums_by_composition,
@@ -113,32 +113,62 @@ def test_wt_gds_examples():
 
 
 def test_gds_expansion_classifies_each_candidate_once(monkeypatch):
-    # the weight of a kept nu is read from the shape of the classification
-    # that kept it, memoized per (lam, k), so every strict nu of the right
-    # weight inside lam is classified once, by the core that checks neither
-    # strictness nor containment, and a second read, or the peel's read of
-    # the same step, classifies nothing
+    # the weight of a kept nu is read from the shape of its strip, memoized
+    # per (lam, k): every strict nu of the right weight inside lam goes to
+    # the row-arithmetic core once, which checks neither strictness nor
+    # containment, and shapes exactly those that pass the diagonal bound
+    # nu_i >= lam_{i+2}; a second read, or the peel's read of the same
+    # step, calls the core no more
     calls = []
 
     def counting(lam, nu):
-        calls.append((lam, nu))
-        return _classify_strict_skew(lam, nu)
+        strip = _strip_rows(lam, nu)
+        calls.append((lam, nu, strip is not None))
+        return strip
 
-    monkeypatch.setattr("hcchar.characters._classify_strict_skew", counting)
+    monkeypatch.setattr("hcchar.characters._strip_rows", counting)
     _gds_shapes.cache_clear()
     _gds_steps.cache_clear()
     for n in range(1, 10):
         for lam in strict_partitions_of(n):
+            floor = lam[2:] + (0,) * (len(lam) + 2)
             for k in range(1, n + 1):
                 calls.clear()
                 expansion = gds_expansion(lam, k)
-                candidates = [(lam, nu) for nu in strict_subpartitions(lam, n - k)]
+                candidates = [
+                    (lam, nu, all(p >= f for p, f in zip(nu + (0,) * len(lam), floor)))
+                    for nu in strict_partitions_between((), lam)
+                    if weight(nu) == n - k
+                ]
                 assert calls == candidates, (lam, k)
+                kept = [nu for _, nu, shaped in candidates if shaped]
+                assert [nu for nu, _ in expansion] == kept, (lam, k)
                 assert gds_expansion(lam, k) == expansion
-                assert [nu for nu, _ in _gds_steps(lam, k, None)] == [nu for nu, _ in expansion]
+                assert [nu for nu, _ in _gds_steps(lam, k, None)] == kept
                 assert calls == candidates, (lam, k)
     _gds_shapes.cache_clear()
     _gds_steps.cache_clear()
+
+
+def test_strip_pass_matches_the_filter_and_classify_reference():
+    # the one pass over the strict partitions of |lam| - k gives the nu, in
+    # order, and the shape keys of the cell-set classification, for every
+    # strict lam with |lam| <= 16 and every k; equal shapes share one tuple
+    _gds_shapes.cache_clear()
+    keys = {}
+    entries = 0
+    for n in range(17):
+        for lam in strict_partitions_of(n):
+            for k in range(n + 1):
+                shapes = _gds_shapes(lam, k)
+                assert shapes == gds_shapes_by_classification(lam, k), (lam, k)
+                for _, shape in shapes:
+                    assert keys.setdefault(shape, shape) is shape, (lam, k, shape)
+                entries += 1
+            # a k outside 0 .. |lam| has no strip
+            assert _gds_shapes(lam, -1) == _gds_shapes(lam, n + 1) == (), lam
+    assert (entries, len(keys)) == (2251, 824)
+    _gds_shapes.cache_clear()
 
 
 def test_strip_weights_match_their_classification():
@@ -344,9 +374,11 @@ def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed
 
 def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_packed_memos):
     # an L1 run that under-counts: every f_t, and every reduced strip weight,
-    # counted as norm 1
+    # counted as norm 1; the reduced strip weights are int coefficients, read
+    # through l1_norm_ints
     misses = _warm_strip_weights(*WIDE_CELL)
     monkeypatch.setattr("hcchar.packed.l1_norm", lambda f: 1)
+    monkeypatch.setattr("hcchar.packed.l1_norm_ints", lambda coeffs: 1)
     for method, route in PACKED_ROUTES:
         with pytest.raises(OverflowError, match="exceeds its bound"):
             route(*WIDE_CELL)

@@ -7,7 +7,7 @@ from hcchar.characters import NotGdsError, wt_gds
 from hcchar.partitions import (
     SkewKind,
     SkewClassification,
-    _classify_strict_skew,
+    _strip_rows,
     a_statistic,
     bounded_compositions,
     classify_skew,
@@ -93,6 +93,11 @@ def test_predicates_match_their_generator_scans():
         tuples = _tuples(entries, max_length)
         for lam, mu in product(tuples, repeat=2):
             assert contains(lam, mu) == contains_by_scan(lam, mu), (lam, mu)
+    # a longer mu is checked on its first l(lam) parts too, not only on its
+    # zero tail
+    assert not contains((1,), (5, 0))
+    assert not contains((1,), (5,))
+    assert contains((5,), (1, 0))
 
 
 def test_zt_denominator():
@@ -213,11 +218,16 @@ def test_classify_skew_rejects_non_strict_shapes():
 
 
 def test_strict_skew_core_is_classify_skew_on_strict_contained_pairs():
-    # gds_expansion hands the core candidates that are strict and inside lam
-    # by construction; there it must answer exactly as the checking function
+    # shape enumeration hands the row-arithmetic core candidates that are
+    # strict and inside lam by construction; there it must answer as the
+    # cell-set reference: None for no strip, else (c, components, l_jump)
     pairs = 0
     for lam, mu in _all_skew_pairs(12):
-        assert _classify_strict_skew(lam, mu) == classify_skew(lam, mu), (lam, mu)
+        cls = classify_skew_by_cells(lam, mu)
+        expected = None
+        if cls.kind is not SkewKind.NOT_GDS:
+            expected = (cls.c, cls.beta_components, cls.l_jump)
+        assert _strip_rows(lam, mu) == expected, (lam, mu)
         pairs += 1
     assert pairs == 1311
 

@@ -11,9 +11,12 @@ from hcchar.qpoly import (
     QPoly,
     ZERO,
     exact_div_int,
+    exact_div_qminus1_coeffs,
     exact_div_qminus1_pow,
     l1_norm,
+    l1_norm_ints,
     pack,
+    pack_ints,
     pack_width,
     round_bracket,
     unpack,
@@ -99,6 +102,7 @@ def test_ring_axioms(a, b, c):
 def test_exact_div_roundtrip(f, m):
     product = f * QPoly((-1, 1)) ** m
     assert exact_div_qminus1_pow(product, m) == f
+    assert exact_div_qminus1_coeffs(product.coeffs, m) == f.coeffs
 
 
 def test_exact_div_examples():
@@ -114,6 +118,16 @@ def test_exact_div_examples():
     assert exact_div_qminus1_pow(f, 0) == f
     for m in range(4):
         assert exact_div_qminus1_pow(ZERO, m) == ZERO
+    # on int coefficients: ints out, no trailing zero, the same remainder
+    quotient = exact_div_qminus1_coeffs((2, -4, 2), 1)
+    assert quotient == (-2, 2) and all(type(c) is int for c in quotient)
+    assert exact_div_qminus1_coeffs((1, -2, 1), 2) == (1,)
+    with pytest.raises(NonDivisibleError, match="^remainder 2 dividing by \\(q-1\\)$"):
+        exact_div_qminus1_coeffs((-1, 0, 1), 2)
+    with pytest.raises(ValueError, match="^negative power$"):
+        exact_div_qminus1_pow(f, -1)
+    with pytest.raises(ValueError, match="^negative power$"):
+        exact_div_qminus1_coeffs(f.coeffs, -1)
 
 
 @given(st.lists(st.integers(-9, 9), max_size=6).map(QPoly), st.integers(-9, 9).filter(bool))
@@ -133,11 +147,11 @@ int_polys = st.lists(int_coeff, max_size=8).map(QPoly)
 @given(int_polys, st.integers(0, 40))
 def test_pack_unpack_roundtrip(f, spare):
     bound = max((abs(c.numerator) for c in f.coeffs), default=0)
-    assert l1_norm(f) == sum(abs(c) for c in f.coeffs)
+    assert l1_norm(f) == l1_norm_ints(f.coeffs) == sum(abs(c) for c in f.coeffs)
     # exactly two bits above the bound, and wider
     for bits in (bound.bit_length() + 2, bound.bit_length() + 2 + spare, pack_width(bound)):
         value = pack(f, bits)
-        assert value == f.eval_at(2**bits)
+        assert value == pack_ints(f.coeffs, bits) == f.eval_at(2**bits)
         assert unpack(value, bits, bound) == f
         # the int digits are f's coefficients as they are, no trailing zero
         digits = unpack_ints(value, bits, bound)
