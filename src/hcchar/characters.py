@@ -43,23 +43,28 @@ It returns the int coefficients of G / (q-1)^{l(mu)}; a weight that does not
 divide raises NonDivisibleError naming the first lam, k and nu that read it.
 The oracle and Pieri build the full G and divide it by (q-1)^{l(mu)} in one
 step, so five-way agreement compares the two ways of taking out
-(q-1)^{l(mu)}.  All five routes then share one normalization, _finalize: it
-takes the coefficients of G / (q-1)^{l(mu)} (the peel's unpacked ints, the
-divided coefficients of the oracle and Pieri), asserts that they are ints
-divisible by 2^{eps(lam)}, divides in ints and builds the returned QPoly
-once, through the trusted int constructor QPoly._from_ints.  Agreement of
-the routes cannot see a fault there; test_normalization_at_integer_points
-checks it in plain ints.  The two-row closed form folds the normalization
-into its own generating function instead.
+(q-1)^{l(mu)}.  Every route divides coefficient tuples, by synthetic
+division (qpoly.exact_div_qminus1_coeffs), with no QPoly built.  All five
+routes then share one normalization, _finalize: it takes the coefficients
+of G / (q-1)^{l(mu)} (the peel's unpacked ints, the divided coefficients of
+the oracle and Pieri), asserts that they are ints divisible by
+2^{eps(lam)}, divides in ints and builds the returned QPoly once, through
+the trusted int constructor QPoly._from_ints; orthogonality_sum takes its
+2^{delta_max} out the same way.  Agreement of the routes cannot see a fault
+there; test_normalization_at_integer_points checks it in plain ints.  The
+two-row closed form folds the normalization into its own generating
+function instead.
 
 Every route but the oracle runs through the packed evaluator of packed.py,
 which holds the proof that its L1 run bounds its packed run: Pieri, the
 peel, the strip weights, and the Pfaffian and Q-basis tables.
-in_ring maps a QPoly into either run: each f_t once per width (f_ring),
-which Pieri's f-sums, the border strips, the Pfaffians and the Q-basis
-sums read, and the Pfaffian and Q-basis reduced tables once per (table,
-lam, k, width); ints_in_ring maps the reduced strip weights, held as int
-coefficients, once per (shape, width).
+Polynomials cross into it only as int coefficient tuples, through its one
+map in_ring: each f_t once per width (f_ring), which Pieri's f-sums, the
+border strips, the Pfaffians and the Q-basis sums read, the reduced
+Pfaffian and Q-basis tables once per (table, lam, k, width), and the
+reduced strip weights once per (shape, width).  Values leave it as int
+coefficient tuples too (packed.unpacked), and a function that returns a
+QPoly wraps the tuple once, through QPoly._from_ints.
 A border strip's value is its top-block recursion on those f_t (_sbs_ring);
 a strip weight multiplies 2 when the length drops by two and its
 components' values, and in the packed run the sign (-1)^c and the shift by
@@ -84,34 +89,38 @@ Q-basis steps, _ring_expansion bound to their table, memoize two levels,
 each keyed by the table: the reduced tables (_reduced_expansion) and their
 images in each run (_ring_expansion).
 The strip-weight steps memoize by shape instead: each (lam, k) as (nu,
-shape) pairs (_gds_shapes), each shape's weight (_shape_weight), the int
-coefficients of that weight over q - 1 (_reduced_shape_weight, by synthetic
-division on ints), their image in each run, read straight off those ints
-(_reduced_shape_ring), and the steps of each (lam, k, width) (_gds_steps),
-built from those lookups, so a weight is divided once per shape and mapped
-once per (shape, width), however many (lam, k, nu) read it.  _gds_shapes
-makes one pass over the strict partitions of |lam| - k: a candidate inside
-lam, found by C-level comparisons, goes once to partitions._strip_rows, the
-row arithmetic that classify_skew also runs, which drops a candidate with a
-three-cell diagonal and otherwise gives c, the components and the drop in
-length, with no SkewClassification built.  Each shape key is interned
-(_shape), so equal shapes share one tuple across the (lam, k) entries.  The
-full-weight tables and the unpacked peel values are not memoized: the peel
-reads each Pfaffian and Q-basis table once, through _reduced_expansion, no
-strip-weight table at all, and an unpacked value is rebuilt from two hits
-of _g_peel_ring and one unpack.
+shape) pairs (_gds_shapes), the int coefficients of each shape's weight
+over q - 1 (_reduced_shape_weight, which unpacks the weight and divides it
+by synthetic division on ints), their image in each run, read straight off
+those ints (_reduced_shape_ring), and the steps of each (lam, k, width)
+(_gds_steps), built from those lookups, so a weight is divided once per
+shape and mapped once per (shape, width), however many (lam, k, nu) read
+it.  _gds_shapes makes one pass over the strict partitions of |lam| - k: a
+candidate inside lam, found by C-level comparisons, goes once to
+partitions._strip_rows, the row arithmetic that classify_skew also runs,
+which drops a candidate with a three-cell diagonal and otherwise gives c,
+the components and the drop in length, with no SkewClassification built.
+Each shape key is interned (_shape), so equal shapes share one tuple across
+the (lam, k) entries.  The full-weight tables, the shape weights, the
+border-strip values and the unpacked peel values are not memoized: the peel
+reads each Pfaffian and Q-basis table once, through _reduced_expansion,
+each shape weight once, through _reduced_shape_weight, and no strip-weight
+table at all; an unpacked value is rebuilt from two hits of its ring memo
+and one unpack.
 
 The strip weight of lam*/nu* depends only on the shape of the strip: its
 count c of two-cell diagonals, whether the length drops by two, and its
-one-cell components, not on where the strip sits.  _shape_weight memoizes
-it by (c, doubled, sorted components), the key that _shape builds and
-interns; sorting is sound because the weight multiplies the components'
-values and the product commutes, while the rows within a component keep
-their order, since the border-strip value depends on it.  The key is
-classification data, never a QPoly value: the Pfaffian and Q-basis tables
-hold equal entries for odd k, and a value-keyed memo would let those routes
-share answers with this one.  gds_expansion and wt_gds read it, and the
-peel and char_hook_mu read its reduced weights through _gds_steps.
+one-cell components, not on where the strip sits.  _reduced_shape_weight
+memoizes it, over q - 1, by (c, doubled, sorted components), the key that
+_shape builds and interns; sorting is sound because the weight multiplies
+the components' values and the product commutes, while the rows within a
+component keep their order, since the border-strip value depends on it.  The
+key is classification data, never a QPoly value: the Pfaffian and Q-basis
+tables hold equal entries for odd k, and a value-keyed memo would let those
+routes share answers with this one.  gds_expansion and wt_gds compute the
+full weight unmemoized (_shape_weight), from the memoized border-strip runs
+beneath it, and the peel and char_hook_mu read the reduced weights through
+_gds_steps.
 
 The order of the weight-n table's cells is defined once, by table_cells.
 table_values computes the values in that order, one at a time, and
@@ -151,15 +160,13 @@ from .partitions import (
     strict_subpartitions,
     weight,
 )
-from .packed import f_ring, in_ring, ints_in_ring, unpacked, unpacked_ints, unpacked_table
+from .packed import f_ring, in_ring, unpacked, unpacked_table
 from .pfaffian import _skew_Q_core
 from .qpoly import (
     NonDivisibleError,
     QPoly,
     Scalar,
-    exact_div_int,
     exact_div_qminus1_coeffs,
-    exact_div_qminus1_pow,
     round_bracket,
 )
 from .vertex import Q_lambda_vacuum, _merge_part, _prepend, composition_sums
@@ -179,7 +186,6 @@ class BadShapeError(ValueError):
 # ---------------------------------------------------------------------------
 # strip weights
 
-@cache
 def sbs_principal(rows: Parts) -> QPoly:
     """Two-variable value of a shifted border strip with the given per-row
     cell counts (top row first): the sum over coarsenings tau of rows of
@@ -187,7 +193,7 @@ def sbs_principal(rows: Parts) -> QPoly:
     which merges the first j + 1 rows."""
     if any(r < 1 for r in rows):
         raise ValueError("row counts must be positive")
-    return unpacked(partial(_sbs_ring, rows))
+    return QPoly._from_ints(unpacked(partial(_sbs_ring, rows)))
 
 
 def wt_gds(lam: Parts, nu: Parts) -> QPoly:
@@ -217,10 +223,9 @@ def _shape(c: int, components: tuple[Parts, ...], l_jump: int) -> ShapeKey:
     return _SHAPES.setdefault(key, key)
 
 
-@cache
 def _shape_weight(c: int, doubled: bool, components: tuple[Parts, ...]) -> QPoly:
     # (-t)^c, times 2 if doubled, times sbs_principal of each component
-    return unpacked(partial(_shape_ring, c, doubled, components))
+    return QPoly._from_ints(unpacked(partial(_shape_ring, c, doubled, components)))
 
 
 def gds_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
@@ -266,7 +271,8 @@ def qbasis_expansion(lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
     lam is prepended to the straightened sums of the parts after it
     (vertex.composition_sums with every slot free), on the packed evaluator
     at one width for the whole step."""
-    return unpacked_table(partial(_qbasis_ring, lam, k))
+    table = unpacked_table(partial(_qbasis_ring, lam, k))
+    return tuple((nu, QPoly._from_ints(coeffs)) for nu, coeffs in table)
 
 
 def _qbasis_ring(lam: Parts, k: int, bits: int | None) -> tuple[tuple[Parts, int], ...]:
@@ -351,7 +357,7 @@ def char_oracle(lam: Parts, mu: Parts) -> QPoly:
 
 def _oracle_core(lam: Parts, mu: Parts) -> QPoly:
     g_value = inner_product(g_product(mu), Q_lambda_vacuum(lam))
-    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)).coeffs, lam, mu)
+    return _finalize(exact_div_qminus1_coeffs(g_value.coeffs, nonzero_length(mu)), lam, mu)
 
 
 # the lowering steps of the peel: for k >= 1 each weight is a sum of
@@ -366,12 +372,13 @@ def _step_error(lam: Parts, k: int, nu: Parts, value: QPoly) -> NonDivisibleErro
 
 
 @cache
-def _reduced_expansion(expansion, lam: Parts, k: int) -> tuple[tuple[Parts, QPoly], ...]:
-    # expansion(lam, k) with one factor of q - 1 taken out of every weight
+def _reduced_expansion(expansion, lam: Parts, k: int) -> tuple[tuple[Parts, tuple[int, ...]], ...]:
+    # expansion(lam, k) with one factor of q - 1 taken out of every weight,
+    # each held as its int coefficients
     out = []
     for nu, value in expansion(lam, k):
         try:
-            out.append((nu, exact_div_qminus1_pow(value, 1)))
+            out.append((nu, exact_div_qminus1_coeffs(value.coeffs, 1)))
         except NonDivisibleError as exc:
             raise _step_error(lam, k, nu, value) from exc
     return tuple(out)
@@ -402,7 +409,7 @@ def _reduced_shape_weight(shape: ShapeKey) -> tuple[int, ...]:
 def _reduced_shape_ring(shape: ShapeKey, bits: int | None) -> int:
     # _reduced_shape_weight(shape) mapped into the run of width bits, once
     # per (shape, width)
-    return ints_in_ring(_reduced_shape_weight(shape), bits)
+    return in_ring(_reduced_shape_weight(shape), bits)
 
 
 @cache
@@ -435,7 +442,7 @@ def _g_peel_ring(steps, lam: Parts, mu: Parts, bits: int | None) -> int:
 def _g_peel(steps, lam: Parts, mu: Parts) -> tuple[int, ...]:
     # the coefficients of G(lam, mu) / (q-1)^{l(mu)}, peeled through one
     # route's lowering steps
-    return unpacked_ints(partial(_g_peel_ring, steps, lam, mu))
+    return unpacked(partial(_g_peel_ring, steps, lam, mu))
 
 
 def char_recursive(lam: Parts, mu: Parts) -> QPoly:
@@ -499,7 +506,7 @@ def char_pieri(lam: Parts, mu: Parts) -> QPoly:
 
 def _pieri_core(lam: Parts, mu: Parts) -> QPoly:
     g_value = unpacked(partial(_g_pieri, lam, mu))
-    return _finalize(exact_div_qminus1_pow(g_value, nonzero_length(mu)).coeffs, lam, mu)
+    return _finalize(exact_div_qminus1_coeffs(g_value, nonzero_length(mu)), lam, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +543,7 @@ def _two_row_tails(mu: Parts, bits: int | None) -> tuple[int, ...]:
     # is 2^{l(mu)-1} times them
     series = [1]
     for m in mu:
-        factor = [in_ring(c, bits) for c in _two_row_factor(m)]
+        factor = [in_ring(c.coeffs, bits) for c in _two_row_factor(m)]
         product = [0] * (len(series) + len(factor) - 1)
         for i, a in enumerate(series):
             for j, b in enumerate(factor, i):
@@ -564,8 +571,8 @@ def char_two_row(k: int, mu: Parts) -> QPoly:
     n = weight(mu)
     if not (0 < n - k < k):
         raise BadShapeError(f"(k, n-k) = ({k},{n - k}) is not a two-row strict shape")
-    value = unpacked(partial(_two_row_ring, k, mu))
-    return value.scale((-1) ** k * 2 ** (nonzero_length(mu) - 1))
+    scale = (-1) ** k * 2 ** (nonzero_length(mu) - 1)
+    return QPoly._from_ints(tuple(scale * c for c in unpacked(partial(_two_row_ring, k, mu))))
 
 
 def char_column(lam: Parts) -> QPoly:
@@ -581,7 +588,7 @@ def char_hook_mu(lam: Parts, k: int) -> QPoly:
     n = weight(lam)
     if k % 2 == 0 or k < 1 or k > n:
         raise BadShapeError(f"hook class needs odd k <= {n}, got {k}")
-    return _finalize(unpacked_ints(partial(_hook_ring, lam, k)), lam, (k,))
+    return _finalize(unpacked(partial(_hook_ring, lam, k)), lam, (k,))
 
 
 def _hook_ring(lam: Parts, k: int, bits: int | None) -> int:
@@ -680,13 +687,13 @@ def orthogonality_sum(mu: Parts, nu: Parts) -> QPoly:
     terms = tuple(
         (char_value(lam, mu), char_value(lam, nu), delta_max - delta(lam)) for lam in lams
     )
-    try:
-        return exact_div_int(unpacked(partial(_pairing_ring, terms)), 2**delta_max)
-    except NonDivisibleError as exc:
-        raise NonDivisibleError("orthogonality sum not integral") from exc
+    total = unpacked(partial(_pairing_ring, terms))
+    if any(c & ((1 << delta_max) - 1) for c in total):
+        raise NonDivisibleError("orthogonality sum not integral")
+    return QPoly._from_ints(tuple(c >> delta_max for c in total))
 
 
 def _pairing_ring(terms, bits: int | None) -> int:
     # the sum of a b 2^shift over terms (a, b, shift) at q = 2^bits; for bits
     # None, the same sum of L1 norms
-    return sum(in_ring(a, bits) * in_ring(b, bits) << shift for a, b, shift in terms)
+    return sum(in_ring(a.coeffs, bits) * in_ring(b.coeffs, bits) << shift for a, b, shift in terms)

@@ -48,13 +48,13 @@ def _skew_Q_core(lam: Parts, mu: Parts) -> QPoly:
     cols = mu[::-1]
     if (len(lam) + len(mu)) % 2:
         cols = (0,) + cols
-    return unpacked(partial(_sub_pfaffian_ring, lam, cols))
+    return QPoly._from_ints(unpacked(partial(_sub_pfaffian_ring, lam, cols)))
 
 
 @cache
 def _pair_ring(m: int, n: int, bits: int | None) -> int:
     # the row-row entry f_pair(m, n), mapped by in_ring
-    return in_ring(f_pair(m, n), bits)
+    return in_ring(f_pair(m, n).coeffs, bits)
 
 
 @cache

@@ -207,42 +207,20 @@ def exact_div_qminus1_coeffs(coeffs: tuple[Scalar, ...], m: int) -> tuple[Scalar
     return tuple(cs[m:])
 
 
-def exact_div_int(f: QPoly, d: int) -> QPoly:
-    """Divide every coefficient of f by the nonzero integer d, requiring
-    integer quotients."""
-    if not f.has_integer_coeffs() or any(c % d for c in f.coeffs):
-        raise NonDivisibleError(f"{f.to_text()} is not divisible by {d} over the integers")
-    return QPoly([c // d for c in f.coeffs])
-
-
 # ---------------------------------------------------------------------------
-# Kronecker packing: an integer polynomial as its value at q = 2^bits
-# (von zur Gathen and Gerhard, Modern Computer Algebra, section 8.4)
-
-def _int_coeffs(f: QPoly) -> tuple[int, ...]:
-    if not f.has_integer_coeffs():
-        raise NonDivisibleError(f"{f.to_text()} has a non-integral coefficient")
-    return f.coeffs
-
-
-def l1_norm(f: QPoly) -> int:
-    """The sum of the absolute values of the coefficients of the integer
-    polynomial f."""
-    return l1_norm_ints(_int_coeffs(f))
-
+# Kronecker packing: an integer polynomial, given by its int coefficients, as
+# its value at q = 2^bits (von zur Gathen and Gerhard, Modern Computer
+# Algebra, section 8.4)
 
 def l1_norm_ints(coeffs: tuple[int, ...]) -> int:
-    """l1_norm of the integer polynomial with coefficients coeffs."""
+    """The sum of the absolute values of the coefficients coeffs of an
+    integer polynomial."""
     return sum(map(abs, coeffs))
 
 
-def pack(f: QPoly, bits: int) -> int:
-    """The integer polynomial f evaluated at q = 2^bits."""
-    return pack_ints(_int_coeffs(f), bits)
-
-
 def pack_ints(coeffs: tuple[int, ...], bits: int) -> int:
-    """pack of the integer polynomial with coefficients coeffs, ascending."""
+    """The integer polynomial with coefficients coeffs, ascending, evaluated
+    at q = 2^bits."""
     value = 0
     for c in reversed(coeffs):
         value = (value << bits) + c
@@ -257,7 +235,7 @@ def pack_width(bound: int) -> int:
 
 
 def unpack_ints(value: int, bits: int, bound: int) -> tuple[int, ...]:
-    """The coefficients, ascending, of the integer polynomial that pack
+    """The coefficients, ascending, of the integer polynomial that pack_ints
     gave as value, for coefficients of magnitude at most bound: the
     balanced base-2^bits digits of value, each in [-2^(bits-1), 2^(bits-1)),
     with no trailing zero.  Raises OverflowError, returning nothing, when
@@ -276,11 +254,6 @@ def unpack_ints(value: int, bits: int, bound: int) -> tuple[int, ...]:
         digits.append(digit)
         value = (value - digit) >> bits
     return tuple(digits)
-
-
-def unpack(value: int, bits: int, bound: int) -> QPoly:
-    """The inverse of pack: unpack_ints as a QPoly."""
-    return QPoly._from_ints(unpack_ints(value, bits, bound))
 
 
 @cache

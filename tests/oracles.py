@@ -27,7 +27,7 @@ from hcchar.partitions import (
     z_lambda,
 )
 from hcchar.pfaffian import NotContainedError
-from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO, exact_div_int
+from hcchar.qpoly import NonDivisibleError, ONE, QPoly, ZERO
 from hcchar.vertex import _merge_part, _prepend, composition_sums, f_pair, f_single, straighten
 
 
@@ -668,6 +668,14 @@ def Q_lambda_vacuum_terms(lam: Parts) -> Terms:
         if lowered:
             out = add_terms(out, mul_terms(expand_q_n_terms(m + j), lowered))
     return out
+
+
+def exact_div_int(f: QPoly, d: int) -> QPoly:
+    """Divide every coefficient of f by the nonzero integer d, requiring
+    integer quotients."""
+    if not f.has_integer_coeffs() or any(c % d for c in f.coeffs):
+        raise NonDivisibleError(f"{f.to_text()} is not divisible by {d} over the integers")
+    return QPoly([c // d for c in f.coeffs])
 
 
 def orthogonality_sum_by_qpoly(mu: Parts, nu: Parts) -> QPoly:

@@ -2,10 +2,14 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from importlib import import_module
+from inspect import signature
+from pkgutil import iter_modules
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hcchar
 from hcchar import characters, cli
 from hcchar.bitrace import sbtr, sbtr_powersum
 from hcchar.characters import (
@@ -27,6 +31,7 @@ from hcchar.characters import (
     _reduced_shape_weight,
     _ring_expansion,
     _sbs_ring,
+    _shape,
     _shape_weight,
     _two_row_factor,
     _two_row_tails,
@@ -70,8 +75,8 @@ from hcchar.qpoly import (
     QPoly,
     ZERO,
     exact_div_qminus1_pow,
-    l1_norm,
-    pack,
+    l1_norm_ints,
+    pack_ints,
     round_bracket,
 )
 from hcchar.vertex import Q_lambda_vacuum, _merge_part, composition_sums, f_pair, f_single
@@ -295,10 +300,10 @@ def test_pieri_f_sums_pack_the_f_sums():
             for i in range(n + 1):
                 sums = composition_sums(_merge_part, mu, i)
                 for bits in (16, 48):
-                    packed = {rest: pack(f, bits) for rest, f in sums}
+                    packed = {rest: pack_ints(f.coeffs, bits) for rest, f in sums}
                     assert dict(composition_sums(_merge_part, mu, i, f_ring(bits))) == packed
                 l1 = dict(composition_sums(_merge_part, mu, i, f_ring(None)))
-                assert all(l1_norm(f) <= l1[rest] for rest, f in sums), (mu, i)
+                assert all(l1_norm_ints(f.coeffs) <= l1[rest] for rest, f in sums), (mu, i)
 
 
 # (5, 3, 1) at (1^9): Pieri's G has the coefficient 2709504 = 0x295800, 23
@@ -322,10 +327,9 @@ PACKED_MEMOS = (
     _reduced_shape_ring,
     _reduced_shape_weight,
     _sbs_ring,
-    sbs_principal,
-    _shape_weight,
     _sub_pfaffian_ring,
     _pair_ring,
+    _two_row_tails,
 )
 
 
@@ -340,19 +344,34 @@ def fresh_packed_memos():
         memo.cache_clear()
 
 
+def test_packed_memos_hold_every_memo_with_a_width():
+    # every memoized function of the library that takes a width bits holds
+    # packed values or L1 bounds, so fresh_packed_memos must clear it
+    names = [info.name for info in iter_modules(hcchar.__path__) if info.name != "__main__"]
+    memos = {
+        value
+        for name in names
+        for value in vars(import_module(f"hcchar.{name}")).values()
+        if hasattr(value, "cache_clear") and "bits" in signature(value.__wrapped__).parameters
+    }
+    missing = sorted(memo.__wrapped__.__name__ for memo in memos - set(PACKED_MEMOS))
+    assert memos and not missing, missing
+
+
 def _warm_strip_weights(lam, mu):
-    # build every strip weight the combinatorial peel of (lam, mu) reads, so
-    # that a patched width or norm fails in the peel, not in a strip weight,
-    # then drop the f_t and border-strip values that building them left in
-    # the ring memos; returns the strip-weight memo's miss count, which must
-    # not move
+    # build every reduced strip weight the combinatorial peel of (lam, mu)
+    # reads, so that a patched width or norm fails in the peel, not in a
+    # strip weight, then drop the f_t and border-strip values that building
+    # them left in the ring memos; returns the reduced strip-weight memo's
+    # miss count, which must not move
     for nu in strict_partitions_between((), lam):
         for k in set(mu):
             if k <= weight(nu):
-                gds_expansion(nu, k)
+                for _, shape in _gds_shapes(nu, k):
+                    _reduced_shape_weight(shape)
     f_ring.cache_clear()
     _sbs_ring.cache_clear()
-    return _shape_weight.cache_info().misses
+    return _reduced_shape_weight.cache_info().misses
 
 
 def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed_memos):
@@ -369,20 +388,18 @@ def test_pieri_refuses_a_width_below_its_bound(monkeypatch, capsys, fresh_packed
         out, err = capsys.readouterr()
         assert (code, out) == (cli.EXIT_INTERNAL, ""), method
         assert err.startswith("internal error: 16 bits cannot hold coefficients up to "), method
-    assert _shape_weight.cache_info().misses == misses
+    assert _reduced_shape_weight.cache_info().misses == misses
 
 
 def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_packed_memos):
     # an L1 run that under-counts: every f_t, and every reduced strip weight,
-    # counted as norm 1; the reduced strip weights are int coefficients, read
-    # through l1_norm_ints
+    # counted as norm 1, since both enter the run through l1_norm_ints
     misses = _warm_strip_weights(*WIDE_CELL)
-    monkeypatch.setattr("hcchar.packed.l1_norm", lambda f: 1)
     monkeypatch.setattr("hcchar.packed.l1_norm_ints", lambda coeffs: 1)
     for method, route in PACKED_ROUTES:
         with pytest.raises(OverflowError, match="exceeds its bound"):
             route(*WIDE_CELL)
-    assert _shape_weight.cache_info().misses == misses
+    assert _reduced_shape_weight.cache_info().misses == misses
 
 
 # (1, 3, 2, 2) has border-strip coefficients up to 356 under an L1 bound of
@@ -393,9 +410,11 @@ def test_pieri_refuses_a_coefficient_above_its_bound(monkeypatch, fresh_packed_m
 STRIP_ROWS = (1, 3, 2, 2)
 PFAFFIAN_STEP = (pfaffian_expansion, (7, 4, 2, 1), 10)
 QBASIS_STEP = (qbasis_expansion, (6, 4, 2, 1), 5)
+STRIP_SHAPE = (3, True, ((2, 1), STRIP_ROWS))
 STRIP_CALLS = (
     ("sbs_principal", sbs_principal, (STRIP_ROWS,)),
-    ("_shape_weight", _shape_weight, (3, True, ((2, 1), STRIP_ROWS))),
+    ("_shape_weight", _shape_weight, STRIP_SHAPE),
+    ("_reduced_shape_weight", _reduced_shape_weight, (_shape(3, STRIP_SHAPE[2], 2),)),
     ("pfaffian_expansion", _reduced_expansion, PFAFFIAN_STEP),
     ("qbasis_expansion", _reduced_expansion, QBASIS_STEP),
 )
@@ -405,14 +424,14 @@ STRIP_CALLS = (
     "patch, match",
     [
         (("pack_width", lambda bound: bound.bit_length() + 1), "bits cannot hold"),
-        (("l1_norm", lambda f: 1), "exceeds its bound"),
+        (("l1_norm_ints", lambda coeffs: 1), "exceeds its bound"),
     ],
     ids=["width-one-bit-short", "l1-under-counts"],
 )
 def test_strip_weights_refuse_a_width_or_bound_too_small(
     monkeypatch, fresh_packed_memos, patch, match
 ):
-    expected = {name: memo(*args) for name, memo, args in STRIP_CALLS}
+    expected = {name: call(*args) for name, call, args in STRIP_CALLS}
     assert max(map(abs, expected["sbs_principal"].coeffs)) == 356
     assert _sbs_ring(STRIP_ROWS, None) == 6096
     pfaffian = skew_Q_principal((7, 4, 2, 1), (3, 1))
@@ -429,15 +448,16 @@ def test_strip_weights_refuse_a_width_or_bound_too_small(
         patched.setattr(f"hcchar.packed.{patch[0]}", patch[1])
         with pytest.raises(OverflowError, match=match):
             skew_Q_principal((7, 4, 2, 1), (3, 1))
-        for name, memo, args in STRIP_CALLS:
+        for name, call, args in STRIP_CALLS:
             with pytest.raises(OverflowError, match=match):
-                memo(*args)
-            # nothing is returned, so nothing is memoized
-            assert memo.cache_info().currsize == 0, name
+                call(*args)
+        # nothing is returned, so nothing is memoized
+        for memo in (_reduced_shape_weight, _reduced_expansion):
+            assert memo.cache_info().currsize == 0, memo
     # drop what the patched runs memoized beneath the values that raised
     for memo in PACKED_MEMOS:
         memo.cache_clear()
-    assert {name: memo(*args) for name, memo, args in STRIP_CALLS} == expected
+    assert {name: call(*args) for name, call, args in STRIP_CALLS} == expected
 
 
 def test_qbasis_table_matches_the_qpoly_sums():
@@ -463,7 +483,7 @@ def test_sbs_l1_run_bounds_the_coarsening_sum():
             bound = _sbs_ring(rows, None)
             reference = sbs_principal_by_coarsenings(rows)
             assert all(abs(c) <= bound for c in reference.coeffs), rows
-            assert l1_norm(reference) <= bound, rows
+            assert l1_norm_ints(reference.coeffs) <= bound, rows
             checked += 1
     assert checked == 1024
 
@@ -476,8 +496,6 @@ def test_strip_weights_multiply_no_qpoly(monkeypatch):
         f_single,
         f_ring,
         _sbs_ring,
-        sbs_principal,
-        _shape_weight,
         _gds_shapes,
         _reduced_shape_weight,
         _reduced_shape_ring,
@@ -519,6 +537,26 @@ def test_pfaffian_and_qbasis_tables_multiply_no_qpoly(monkeypatch, fresh_packed_
     monkeypatch.undo()
     assert tables == [char_table(12)] * 2
     assert callers and set(callers) == {"f_single", "f_pair"}
+
+
+def test_peel_and_pieri_tables_build_no_qpoly_in_the_division(monkeypatch, fresh_packed_memos):
+    # the peel's tables and Pieri take out their factors q - 1 on int
+    # coefficients: from cold memos, a weight-12 table of each route builds
+    # no QPoly where a QPoly is divided by a power of q - 1
+    for memo in (f_single, f_pair, composition_sums):
+        memo.cache_clear()
+    callers = Counter()
+    original = QPoly.__init__
+
+    def counting(self, coeffs=()):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        original(self, coeffs)
+
+    monkeypatch.setattr(QPoly, "__init__", counting)
+    tables = [char_table(12, method) for method in ("pfaffian", "recursive", "pieri")]
+    monkeypatch.undo()
+    assert tables == [char_table(12)] * 3
+    assert callers and "exact_div_qminus1_pow" not in callers, callers
 
 
 def test_pieri_slots_are_bounded_by_their_parts(fresh_packed_memos):
@@ -624,8 +662,6 @@ def test_character_pairing_and_two_row_form_multiply_no_qpoly(monkeypatch):
     memos = (
         f_ring,
         _sbs_ring,
-        sbs_principal,
-        _shape_weight,
         _gds_shapes,
         _reduced_shape_weight,
         _reduced_shape_ring,
@@ -674,7 +710,7 @@ def test_normalization_at_integer_points():
                 peeled = [QPoly(_g_peel(route_steps, lam, mu)) for route_steps in steps]
                 full = [
                     inner_product(g_product(mu), Q_lambda_vacuum(lam)),
-                    unpacked(partial(_g_pieri, lam, mu)),
+                    QPoly(unpacked(partial(_g_pieri, lam, mu))),
                 ]
                 for q0 in (3, -2, 2**61 - 1):
                     expect = 2 ** epsilon(lam) * _int_horner(chi, q0)
@@ -885,14 +921,16 @@ def test_peel_memo_is_keyed_by_its_expansion():
     def doubled(lam, k):
         return tuple((nu, w.scale(2)) for nu, w in pfaffian_expansion(lam, k))
 
-    assert _reduced_expansion(doubled, lam, mu[0]) == tuple((nu, w.scale(2)) for nu, w in reduced)
+    assert _reduced_expansion(doubled, lam, mu[0]) == tuple(
+        (nu, tuple(2 * c for c in w)) for nu, w in reduced
+    )
     # and for the packed layer, both its L1 bound and its packed value
     for bits in (None, 32):
         packed = _g_peel_ring(_gds_steps, lam, mu, bits)
         if bits is None:
-            assert packed >= l1_norm(QPoly(value))
+            assert packed >= l1_norm_ints(value)
         else:
-            assert packed == pack(QPoly(value), bits)
+            assert packed == pack_ints(value, bits)
         assert _g_peel_ring(doubled_steps, lam, mu, bits) == packed * 2 ** len(mu), bits
         ring = _ring_expansion(pfaffian_expansion, lam, mu[0], bits)
         assert _ring_expansion(doubled, lam, mu[0], bits) == tuple((nu, 2 * w) for nu, w in ring)
@@ -910,7 +948,8 @@ def test_strip_steps_read_the_reduced_weight_of_each_shape():
                 expansion = gds_expansion(lam, k)
                 for bits in (None, 16, 32, 48):
                     expected = tuple(
-                        (nu, in_ring(exact_div_qminus1_pow(w, 1), bits)) for nu, w in expansion
+                        (nu, in_ring(exact_div_qminus1_pow(w, 1).coeffs, bits))
+                        for nu, w in expansion
                     )
                     assert _gds_steps(lam, k, bits) == expected, (lam, k, bits)
                 checked += 1

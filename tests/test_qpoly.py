@@ -1,28 +1,28 @@
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hcchar import characters
+from hcchar.characters import _reduced_shape_ring, _reduced_shape_weight
+from hcchar.packed import in_ring
 from hcchar.qpoly import (
     NonDivisibleError,
     ONE,
     QPoly,
     ZERO,
-    exact_div_int,
     exact_div_qminus1_coeffs,
     exact_div_qminus1_pow,
-    l1_norm,
     l1_norm_ints,
-    pack,
     pack_ints,
     pack_width,
     round_bracket,
-    unpack,
     unpack_ints,
 )
-from oracles import has_integer_coeffs_by_scan, square_bracket
+from oracles import exact_div_int, has_integer_coeffs_by_scan, square_bracket
 
 coeff = st.integers(-9, 9) | st.fractions(max_denominator=6)
 polys = st.lists(coeff, max_size=6).map(QPoly)
@@ -147,31 +147,46 @@ int_polys = st.lists(int_coeff, max_size=8).map(QPoly)
 @given(int_polys, st.integers(0, 40))
 def test_pack_unpack_roundtrip(f, spare):
     bound = max((abs(c.numerator) for c in f.coeffs), default=0)
-    assert l1_norm(f) == l1_norm_ints(f.coeffs) == sum(abs(c) for c in f.coeffs)
+    assert in_ring(f.coeffs, None) == l1_norm_ints(f.coeffs) == sum(abs(c) for c in f.coeffs)
     # exactly two bits above the bound, and wider
     for bits in (bound.bit_length() + 2, bound.bit_length() + 2 + spare, pack_width(bound)):
-        value = pack(f, bits)
-        assert value == pack_ints(f.coeffs, bits) == f.eval_at(2**bits)
-        assert unpack(value, bits, bound) == f
+        value = pack_ints(f.coeffs, bits)
+        assert value == in_ring(f.coeffs, bits) == f.eval_at(2**bits)
         # the int digits are f's coefficients as they are, no trailing zero
         digits = unpack_ints(value, bits, bound)
         assert digits == f.coeffs and all(type(c) is int for c in digits)
 
 
-def test_packing_refuses_what_it_cannot_hold():
-    half = QPoly((1, Fraction(1, 2)))
-    for helper in (l1_norm, lambda f: pack(f, 8)):
-        with pytest.raises(NonDivisibleError, match="non-integral"):
-            helper(half)
-    f = QPoly((3, -200, 7))
+def test_packing_refuses_what_it_cannot_hold(monkeypatch):
+    # a non-integral coefficient is refused where a term enters either run,
+    # and so on the reduced strip weights: the shape weight (q - 1) / 2 of a
+    # one-cell strip divides by q - 1 into 1/2
+    half = (1, Fraction(1, 2))
+    shape = (0, False, ((1,),))
+    monkeypatch.setattr(
+        characters, "_shape_weight", lambda *shape: QPoly((Fraction(-1, 2), Fraction(1, 2)))
+    )
+    memos = (_reduced_shape_weight, _reduced_shape_ring)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        for bits in (None, 8):
+            for refused in (partial(in_ring, half), partial(_reduced_shape_ring, shape)):
+                with pytest.raises(NonDivisibleError, match="non-integral"):
+                    refused(bits)
+        assert _reduced_shape_weight(shape) == (Fraction(1, 2),)
+        assert _reduced_shape_ring.cache_info().currsize == 0
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    f = (3, -200, 7)
     assert pack_width(200) == 16 and pack_width(2**14) == 32
-    for helper in (unpack, unpack_ints):
-        # one bit short of two spare bits above the bound
-        with pytest.raises(OverflowError, match="^9 bits cannot hold coefficients up to 200$"):
-            helper(pack(f, 9), 9, 200)
-        # wide enough, but a digit beyond the bound it was promised
-        with pytest.raises(OverflowError, match="-200 exceeds its bound 199"):
-            helper(pack(f, 16), 16, 199)
+    # one bit short of two spare bits above the bound
+    with pytest.raises(OverflowError, match="^9 bits cannot hold coefficients up to 200$"):
+        unpack_ints(pack_ints(f, 9), 9, 200)
+    # wide enough, but a digit beyond the bound it was promised
+    with pytest.raises(OverflowError, match="-200 exceeds its bound 199"):
+        unpack_ints(pack_ints(f, 16), 16, 199)
 
 
 def test_eval_examples():
