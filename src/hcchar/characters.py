@@ -145,6 +145,7 @@ from .partitions import (
     _strip_rows,
     classify_skew,
     delta,
+    ensure_int,
     ensure_int_parts,
     ensure_partition,
     ensure_strict_int_parts,
@@ -416,13 +417,15 @@ def _reduced_shape_ring(shape: ShapeKey, bits: int | None) -> int:
 def _gds_steps(lam: Parts, k: int, bits: int | None) -> tuple[tuple[Parts, int], ...]:
     # gds_expansion(lam, k) with one factor of q - 1 out of every weight,
     # mapped by in_ring: lookups by shape, the first nu to read a weight that
-    # does not divide named in the error
+    # does not divide named in the error; only the division is tried there,
+    # so that in_ring's own refusal of a non-integral coefficient keeps its text
     out = []
     for nu, shape in _gds_shapes(lam, k):
         try:
-            out.append((nu, _reduced_shape_ring(shape, bits)))
+            _reduced_shape_weight(shape)
         except NonDivisibleError as exc:
             raise _step_error(lam, k, nu, _shape_weight(*shape)) from exc
+        out.append((nu, _reduced_shape_ring(shape, bits)))
     return tuple(out)
 
 
@@ -565,6 +568,7 @@ def _two_row_ring(k: int, mu: Parts, bits: int | None) -> int:
 def char_two_row(k: int, mu: Parts) -> QPoly:
     """lam = (k, n-k) with n-k < k < n, via the generating function whose
     v-coefficients collect the split products of f over both arguments."""
+    ensure_int(k, "k")
     mu = sort_desc(ensure_int_parts(mu, "mu"))
     if not is_odd_partition(mu):
         raise ValueError(f"two-row closed form needs odd mu, got {mu}")
@@ -585,6 +589,7 @@ def char_column(lam: Parts) -> QPoly:
 def char_hook_mu(lam: Parts, k: int) -> QPoly:
     """mu = (k, 1^{n-k}) with k odd: strip weights against tableau counts."""
     lam = ensure_strict_int_parts(lam, "lam")
+    ensure_int(k, "k")
     n = weight(lam)
     if k % 2 == 0 or k < 1 or k > n:
         raise BadShapeError(f"hook class needs odd k <= {n}, got {k}")
@@ -652,9 +657,9 @@ def char_value(lam: Parts, mu: Parts, method: str = "auto") -> QPoly:
 def table_cells(n: int):
     """The (lam, mu) cells of the weight-n table in table order, one at a
     time: rows mu over odd partitions outside, columns lam over strict
-    partitions inside, both in reverse-lexicographic order.  A negative n
-    raises at the call."""
-    if n < 0:
+    partitions inside, both in reverse-lexicographic order.  An n that is
+    not a nonnegative int raises at the call."""
+    if ensure_int(n, "n") < 0:
         raise ValueError("n must be nonnegative")
     return ((lam, mu) for mu in odd_partitions_of(n) for lam in strict_partitions_of(n))
 

@@ -12,22 +12,23 @@ that cannot be written is an I/O error (exit status 4); a cross-check that
 finds the two methods disagreeing names the first differing cell, writes
 nothing and fails (exit status 1).
 
-``table`` streams.  Each output format is a generator of text chunks over
-the values in table order; without a cache, each value is rendered as it
-is computed and no table is held.  The chunks go to a temporary file
-first: for ``--out``, one in the target's directory that replaces the
-target after the last chunk; for stdout, an anonymous one that is then
-copied out.  So a failure before the last cell leaves stdout empty, and
-no ``--out`` or cache file is created or replaced.  A cache miss renders
-its JSON once, into the cache file, hashing the chunks as they are
-written: the digest line, of fixed length, goes first as a placeholder and
-is filled in last, before the rename.  A JSON ``table`` then copies that
-file's body out.
+``table`` has one path.  ``table_with_cache`` gives the values in table
+order: without a cache, streamed as they are computed, so that no table is
+held; on a hit, the checked cells of the cache file; on a miss, one list of
+the method's values, checked cell by cell against the second method as
+that streams, and stored before it is returned.  Each output format is a
+generator of text chunks over those values, and ``_write_table`` writes
+them to a temporary file first: for ``--out``, one beside the target that
+replaces it after the last chunk; for stdout, an anonymous one that is
+then copied out.  So a failure before the last cell leaves stdout empty,
+and no ``--out`` or cache file is created or replaced.  ``_replacing`` is
+the one atomic writer, for ``--out`` and the cache file alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -145,64 +146,49 @@ def load_cached_table(n: int) -> dict[tuple[Parts, Parts], QPoly] | None:
         return None
 
 
-def store_cached_table(n: int, table: dict[tuple[Parts, Parts], QPoly]) -> str | None:
-    """Write the JSON rendering of the table to the cache, atomically, and
-    return the path written; None when no cache is set.  The body is
-    rendered once, straight into a temporary file and hashed chunk by chunk;
-    its digest line, of fixed length, is written first as a placeholder and
-    filled in once the last chunk is hashed, and only then is the file
-    renamed into place."""
+def store_cached_table(n: int, values) -> None:
+    """Write the JSON rendering of the weight-n table, from its values in
+    table_cells order, to the cache, atomically; nothing when no cache is
+    set.  The body is rendered once, straight into a temporary file and
+    hashed chunk by chunk; its digest line, of fixed length, is written
+    first as a placeholder and filled in once the last chunk is hashed, and
+    only then is the file renamed into place."""
     path = _cache_path(n)
     if path is None:
-        return None
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".chartable", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(b"0" * 64 + b"\n")  # the digest line, filled in last
-            digest = _sha256()
-            for chunk in table_json_chunks(n, _in_table_order(n, table)):
-                body = chunk.encode()
-                digest.update(body)
-                handle.write(body)
-            handle.seek(0)
-            handle.write(digest.hexdigest().encode())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
+        return
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with _replacing(path, ".chartable", mode="wb") as handle:
+        handle.write(b"0" * 64 + b"\n")  # the digest line, filled in last
+        digest = _sha256()
+        for chunk in table_json_chunks(n, values):
+            body = chunk.encode()
+            digest.update(body)
+            handle.write(body)
+        handle.seek(0)
+        handle.write(digest.hexdigest().encode())
 
 
-def table_with_cache(
-    n: int, method: str = "auto"
-) -> tuple[dict[tuple[Parts, Parts], QPoly], str | None]:
-    """The weight-n table, and the path of the cache file when a miss
-    stored one (None otherwise), whose body the caller can copy instead of
-    rendering the JSON again."""
+def table_with_cache(n: int, method: str = "auto"):
+    """The method's values of the weight-n table, in table_cells order.
+    Without a cache, they stream as they are computed; on a hit, they are
+    the checked cells of the cache file.  On a miss they are computed once
+    into a list, each checked against a second method's value as that
+    streams, and the list is stored before it is returned."""
+    if _cache_path(n) is None:
+        return characters.table_values(n, method)
     cached = load_cached_table(n)
     if cached is not None:
-        return cached, None
-    table = characters.char_table(n, method=method)
-    if _cache_path(n) is not None:
-        # cached values must agree with a second method that shares no peel
-        # with the first: Pieri, or for a Pieri table the strip weights
-        check_method = "combinatorial" if method == "pieri" else "pieri"
-        check = characters.char_table(n, method=check_method)
-        for cell, value in table.items():
-            if failure := _disagreement(_cell(*cell), {method: value, check_method: check[cell]}):
-                raise MethodDisagreementError(f"methods disagree while caching n={n} at {failure}")
-        return table, store_cached_table(n, table)
-    return table, None
-
-
-def _cached_body(path: str):
-    # the body of a cache file, after its digest line, in blocks
-    with open(path, encoding="utf-8", newline="") as handle:
-        handle.readline()
-        yield from iter(functools.partial(handle.read, COPY_BLOCK), "")
+        return _in_table_order(n, cached)
+    values = list(characters.table_values(n, method))
+    # cached values must agree with a second method that shares no peel
+    # with the first: Pieri, or for a Pieri table the strip weights
+    check_method = "combinatorial" if method == "pieri" else "pieri"
+    checks = characters.table_values(n, check_method)
+    for cell, value, check in zip(characters.table_cells(n), values, checks):
+        if failure := _disagreement(_cell(*cell), {method: value, check_method: check}):
+            raise MethodDisagreementError(f"methods disagree while caching n={n} at {failure}")
+    store_cached_table(n, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -292,28 +278,37 @@ def _file_mode(path: str) -> int:
         return 0o666 & ~umask
 
 
+@contextlib.contextmanager
+def _replacing(path: str, prefix: str, **open_args):
+    """A temporary file beside path, opened by os.fdopen with open_args,
+    that replaces path once the block ends, through a symlink as open()
+    writes, and is removed instead if the block raises.  An OSError creating
+    it is named by path, not by the temporary file."""
+    target = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=prefix, dir=os.path.dirname(target))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with os.fdopen(fd, **open_args) as handle:
+            yield handle
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _write_table(chunks, out: str | None) -> None:
     """Write the chunks to the file out, or to stdout for None, once the
     last one is rendered.  They stream into a temporary file first: for a
-    regular (or new) out, one in its directory that then replaces it;
-    otherwise an anonymous one that is then copied out.  So a failure
-    part-way, in a cell or in the write, leaves stdout empty and out as it
-    was."""
+    regular (or new) out, one beside it that then replaces it; otherwise an
+    anonymous one that is then copied out.  So a failure part-way, in a
+    cell or in the write, leaves stdout empty and out as it was."""
     if out is not None and (os.path.isfile(out) or not os.path.exists(out)):
-        target = os.path.realpath(out)  # through a symlink, as open() writes
-        try:
-            fd, tmp = tempfile.mkstemp(prefix=".hcchar", dir=os.path.dirname(target))
-        except OSError as exc:  # named by the target, not the temporary file
-            raise OSError(exc.errno, exc.strerror, out) from None
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.writelines(chunks)
-            os.chmod(tmp, _file_mode(target))
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with _replacing(out, ".hcchar", mode="w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+            os.fchmod(handle.fileno(), _file_mode(out))
         return
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
         spool.writelines(chunks)
@@ -484,25 +479,16 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    n, render = args.n, TABLE_CHUNKS[args.format]
-    if _cache_path(n) is None:
-        # no table is held: each value is rendered as it is computed
-        chunks = render(n, characters.table_values(n, args.method))
-    else:
-        try:
-            table, stored = table_with_cache(n, method=args.method)
-        except OSError as exc:
-            print(f"error: cannot write cache {_cache_path(n)}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except MethodDisagreementError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-        if args.format == "json" and stored is not None:
-            chunks = _cached_body(stored)
-        else:
-            chunks = render(n, _in_table_order(n, table))
     try:
-        _write_table(chunks, args.out)
+        values = table_with_cache(args.n, method=args.method)
+    except OSError as exc:
+        print(f"error: cannot write cache {_cache_path(args.n)}: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MethodDisagreementError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    try:
+        _write_table(TABLE_CHUNKS[args.format](args.n, values), args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -64,6 +64,14 @@ def _all_odd(parts: Parts) -> bool:
     return set(map(mod, parts, repeat(2))) <= {1}
 
 
+def ensure_int(value, name: str) -> int:
+    """value, an int (a bool included, as an int); a float, Fraction, str or
+    None raises ValueError naming the argument."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer: {value!r}")
+    return value
+
+
 def ensure_int_parts(parts, name: str = "partition") -> Parts:
     """parts as a tuple, each an int (bools included, as ints); a float,
     Fraction, str or None part raises ValueError naming the argument."""

@@ -94,7 +94,7 @@ def f_single(i: int) -> QPoly:
 
 @cache
 def composition_sums(
-    merge, parts: Parts, k: int, factor=f_single, negative_parts: bool = False
+    merge, parts: Parts, k: int, factor, *, negative_parts: bool
 ) -> tuple[tuple[Parts, QPoly | int], ...]:
     """The sum of f_tau over the compositions tau of k with one entry per
     part, grouped by key.  Built from the last part forward: tau_1 = t gives
@@ -102,17 +102,15 @@ def composition_sums(
     turns that sum's key into [(coefficient, key), ...].  Zero sums are
     dropped.  merge and factor must be fixed functions: the sums are
     memoized per (merge, parts, k, factor, negative_parts), so equal
-    suffixes of parts share them; callers pass factor positionally and
-    negative_parts by keyword, as the recursion does, so that they share one
-    memo key with it.
+    suffixes of parts share them.
 
-    By default each slot is bounded by its part, t <= parts[0] and
-    k - t <= sum(parts[1:]): the sum runs over the compositions tau of k
+    With negative_parts False each slot is bounded by its part, t <= parts[0]
+    and k - t <= sum(parts[1:]): the sum runs over the compositions tau of k
     with tau_i <= parts[i], and merge never sees a negative remainder
     parts[0] - t.  negative_parts=True lets every t from 0 to k through, for
     a merge that straightens a negative remainder into nonzero terms.
 
-    factor(t) gives f_t in some commutative ring: as a QPoly by default, or
+    factor(t) gives f_t in some commutative ring: as a QPoly (f_single), or
     for example packed into an int at q = 2^B.  factor(0) is that ring's
     one, and merge coefficients multiply into it as ints."""
     if not parts:

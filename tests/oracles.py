@@ -526,7 +526,7 @@ def g_pieri_qpoly(lam: Parts, mu: Parts) -> QPoly:
         if not strips:
             continue
         sign = (-1) ** (i - lam[0])
-        for rest, f_sum in composition_sums(_merge_part, mu, i):
+        for rest, f_sum in composition_sums(_merge_part, mu, i, f_single, negative_parts=False):
             inner = ZERO
             for xi, a in strips:
                 inner = inner + g_pieri_qpoly(xi, rest).scale(2**a)

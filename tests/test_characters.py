@@ -273,7 +273,7 @@ def test_pieri_f_sums_match_composition_by_composition():
     for n in range(13):
         for mu in partitions_of(n):
             for i in range(n + 1):
-                grouped = dict(composition_sums(_merge_part, mu, i))
+                grouped = dict(composition_sums(_merge_part, mu, i, f_single, negative_parts=False))
                 assert grouped == pieri_f_sums_by_composition(mu, i), (mu, i)
                 checked += 1
     assert checked == 2918
@@ -298,11 +298,12 @@ def test_pieri_f_sums_pack_the_f_sums():
     for n in range(9):
         for mu in odd_partitions_of(n):
             for i in range(n + 1):
-                sums = composition_sums(_merge_part, mu, i)
+                sums = composition_sums(_merge_part, mu, i, f_single, negative_parts=False)
                 for bits in (16, 48):
                     packed = {rest: pack_ints(f.coeffs, bits) for rest, f in sums}
-                    assert dict(composition_sums(_merge_part, mu, i, f_ring(bits))) == packed
-                l1 = dict(composition_sums(_merge_part, mu, i, f_ring(None)))
+                    over = composition_sums(_merge_part, mu, i, f_ring(bits), negative_parts=False)
+                    assert dict(over) == packed
+                l1 = dict(composition_sums(_merge_part, mu, i, f_ring(None), negative_parts=False))
                 assert all(l1_norm_ints(f.coeffs) <= l1[rest] for rest, f in sums), (mu, i)
 
 
@@ -972,6 +973,13 @@ def test_a_strip_weight_not_divisible_by_q_minus_1_names_its_first_reader(
         assert str(exc.value) == message
         for memo in (_reduced_shape_weight, _reduced_shape_ring, _gds_steps, _g_peel_ring):
             assert memo.cache_info().currsize == 0, memo
+    # a weight that divides into a non-integral quotient is refused by
+    # in_ring under its own text, not named a step that does not divide
+    half = QPoly((Fraction(-1, 2), Fraction(1, 2)))
+    monkeypatch.setattr("hcchar.characters._shape_weight", lambda c, doubled, components: half)
+    with pytest.raises(NonDivisibleError) as exc:
+        char_combinatorial((2, 1), (1, 1, 1))
+    assert str(exc.value) == "(Fraction(1, 2),) has a non-integral coefficient"
 
 
 def test_every_route_returns_int_coefficients_with_no_trailing_zero():

@@ -176,18 +176,47 @@ TABLE_8_OUTPUT = {
 }
 
 
-def test_table_without_a_cache_builds_no_table(capsys, monkeypatch):
-    # without a cache each value is rendered as it is computed, so the
-    # bounded-memory path never calls char_table and holds no table dict
+def test_table_without_a_cache_builds_no_table(tmp_path, capsys, monkeypatch):
+    # no path of `table` calls char_table, which holds the whole table in a
+    # dict: without a cache each value is rendered as it is computed, a miss
+    # holds one list of values and a hit the checked cells of the cache file
     def refusing_char_table(n, method="auto"):
-        raise AssertionError("char_table called without a cache")
+        raise AssertionError("char_table called by table")
 
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
     monkeypatch.setattr(cli.characters, "char_table", refusing_char_table)
     for fmt, digest in TABLE_8_OUTPUT.items():
-        code, out, err = run(capsys, "table", "--n", "8", "--format", fmt)
-        assert (code, err) == (0, ""), fmt
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        runs = [run(capsys, "table", "--n", "8", "--format", fmt)]
+        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / fmt))
+        runs += [run(capsys, "table", "--n", "8", "--format", fmt) for _ in ("miss", "hit")]
+        for code, out, err in runs:
+            assert (code, err) == (0, ""), fmt
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+        assert [path.name for path in (tmp_path / fmt).iterdir()] == ["chartable_n8.json"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_table_bytes_are_the_same_without_a_cache_on_a_miss_and_on_a_hit(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    # one path from values to output: stdout and --out get the same bytes
+    # with no cache, on a miss (a fresh cache directory) and on the hit after
+    def table(sink, cache):
+        if cache:
+            monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / f"cache-{sink}"))
+        else:
+            monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        argv = ["table", "--n", "6", "--format", fmt]
+        if sink == "stdout":
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), (sink, cache)
+            return out.encode()
+        target = tmp_path / f"table.{fmt}"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", ""), (sink, cache)
+        return target.read_bytes()
+
+    outputs = [table(sink, cache) for sink in ("stdout", "out") for cache in (False, True, True)]
+    assert outputs == outputs[:1] * 6
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["no cache", "cache miss"])
@@ -463,42 +492,27 @@ def test_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert code == 0 and again == cold
 
 
-def test_cache_miss_renders_the_json_table_once(tmp_path, capsys, monkeypatch):
-    # on a miss the table is rendered once, into the cache file, whose body
-    # stdout then gets; a hit renders it once for stdout, and csv renders
-    # its own
-    calls = []
-    original = cli.table_json_chunks
-
-    def counting(n, values):
-        calls.append(n)
-        return original(n, values)
-
-    monkeypatch.setattr(cli, "table_json_chunks", counting)
-    monkeypatch.setitem(cli.TABLE_CHUNKS, "json", counting)
+def test_cache_file_body_is_the_json_table_printed(tmp_path, capsys, monkeypatch):
+    # a miss stores the JSON rendering of the values it prints, under its
+    # digest line
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, cold, _ = run(capsys, "table", "--n", "6", "--format", "json")
-    assert (code, calls) == (0, [6])
-    _, body = (tmp_path / "chartable_n6.json").read_bytes().split(b"\n", 1)
-    assert body == cold.encode() == "".join(original(6, cli.characters.table_values(6))).encode()
-    for fmt, renders in (("json", [6]), ("csv", [])):
-        calls.clear()
-        code, _, _ = run(capsys, "table", "--n", "6", "--format", fmt)
-        assert (code, calls) == (0, renders), fmt
-    calls.clear()
-    code, _, _ = run(capsys, "table", "--n", "5", "--format", "csv")
-    assert (code, calls) == (0, [5])
+    assert code == 0
+    digest, body = (tmp_path / "chartable_n6.json").read_bytes().split(b"\n", 1)
+    rendered = "".join(cli.table_json_chunks(6, cli.characters.table_values(6)))
+    assert body == cold.encode() == rendered.encode()
+    assert digest == hashlib.sha256(body).hexdigest().encode()
 
 
 def test_cache_cross_check_uses_a_second_method(tmp_path, capsys, monkeypatch):
     calls = []
-    original = cli.characters.char_table
+    original = cli.characters.table_values
 
     def recording(n, method="auto"):
         calls.append(method)
-        return original(n, method=method)
+        return original(n, method)
 
-    monkeypatch.setattr(cli.characters, "char_table", recording)
+    monkeypatch.setattr(cli.characters, "table_values", recording)
     for method, check in (
         ("recursive", "pieri"),
         ("combinatorial", "pieri"),
@@ -513,15 +527,19 @@ def test_cache_cross_check_uses_a_second_method(tmp_path, capsys, monkeypatch):
 
 
 def test_cache_cross_check_names_the_disagreeing_cell(tmp_path, capsys, monkeypatch):
-    original = cli.characters.char_table
+    original = cli.characters.table_values
 
     def second_method_off_by_one(n, method="auto"):
-        table = original(n, method=method)
-        if method == "pieri":
-            table[((3, 1), (3, 1))] = table[((3, 1), (3, 1))] + QPoly((1,))
-        return table
+        values = original(n, method)
+        if method != "pieri":
+            return values
+        cells = cli.characters.table_cells(n)
+        return (
+            value + QPoly((1,)) if cell == ((3, 1), (3, 1)) else value
+            for cell, value in zip(cells, values)
+        )
 
-    monkeypatch.setattr(cli.characters, "char_table", second_method_off_by_one)
+    monkeypatch.setattr(cli.characters, "table_values", second_method_off_by_one)
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, out, err = run(capsys, "table", "--n", "4")
     assert code == cli.EXIT_FAIL and out == ""

@@ -3,7 +3,8 @@ library: the character routes, char_value under every method, the closed
 forms, the skew values, orthogonality_sum and the bitrace functions.  Each bad input raises
 its own error type and message, the same at every entry that reads it; a
 class may come unsorted, with zero parts, as a list, or with bool parts, and
-gives the value of its canonical form."""
+gives the value of its canonical form.  The scalar arguments, a table's
+weight n and the k of the two-row and hook forms, are checked the same way."""
 
 from fractions import Fraction
 from functools import partial
@@ -19,8 +20,11 @@ from hcchar.characters import (
     char_hook_mu,
     char_one_row,
     char_two_row,
+    char_table,
     char_value,
     orthogonality_sum,
+    table_cells,
+    table_values,
     wt_gds,
 )
 from hcchar.pfaffian import NotContainedError, skew_Q_principal
@@ -52,6 +56,14 @@ def _not_ints(name, good, args):
         parts = (part, *good[1:])
         out.append((args(parts), (ValueError, f"{name} must have integer parts: {parts}")))
     return out
+
+
+def _not_int(name, good, args):
+    # args(value) with a float, Fraction, str or None in place of the int good
+    return [
+        (args(value), (ValueError, f"{name} must be an integer: {value!r}"))
+        for value in (float(good), Fraction(good), str(good), None)
+    ]
 
 
 def _strict(parts, error=ValueError):
@@ -119,7 +131,7 @@ def test_odd_class_closed_forms_check_their_input():
     _check(regular_char, _odd_mu_cases("regular character", lambda mu: (mu,)))
     shape = (BadShapeError, "(k, n-k) = (5,-1) is not a two-row strict shape")
     two_row = _odd_mu_cases("two-row closed form", lambda mu: (3, mu))
-    _check(char_two_row, [*two_row, ((5, MU), shape)])
+    _check(char_two_row, [*two_row, ((5, MU), shape), *_not_int("k", 3, lambda k: (k, MU))])
 
 
 def test_strict_shape_closed_forms_check_their_input():
@@ -128,7 +140,26 @@ def test_strict_shape_closed_forms_check_their_input():
         ((LAM, 2), (BadShapeError, "hook class needs odd k <= 4, got 2")),
         ((LAM, 5), (BadShapeError, "hook class needs odd k <= 4, got 5")),
     ]
-    _check(char_hook_mu, [*_lam_cases(lambda lam: (lam, 3)), *hook])
+    k_cases = [*_not_int("k", 3, lambda k: (LAM, k)), ((LAM, True), Canonical((LAM, 1)))]
+    _check(char_hook_mu, [*_lam_cases(lambda lam: (lam, 3)), *hook, *k_cases])
+
+
+TABLE_ENTRIES = {"table_cells": table_cells, "table_values": table_values, "char_table": char_table}
+
+
+@pytest.mark.parametrize("entry", TABLE_ENTRIES)
+def test_table_entries_check_their_weight_at_the_call(entry):
+    # a lazy entry refuses its weight before a cell is asked for; a bool
+    # weight gives the cells, or values, of its int
+    call = TABLE_ENTRIES[entry]
+    negative = ((-1,), (ValueError, "n must be nonnegative"))
+    _check(call, [*_not_int("n", 3, lambda n: (n,)), negative])
+
+    def cells(n):
+        result = call(n)
+        return list(result.items() if isinstance(result, dict) else result)
+
+    assert cells(True) == cells(1) != []
 
 
 PAIR_ENTRIES = {
